@@ -20,7 +20,6 @@ from gsep import (
     tmss,
     verify_certificate,
 )
-from scipy.linalg import block_diag
 
 # Build a state that is separable by construction and recover a
 # certificate for it.
@@ -38,7 +37,8 @@ print("margins (gamma_A, gamma_B, remainder):",
 # blocks are valid single-party states and the remainder is PSD.
 j_a = symplectic_form(cm.n)
 j_b = symplectic_form(cm.m)
-remainder = cm.gamma - block_diag(cert.gamma_A, cert.gamma_B)
+zeros = np.zeros((2 * cm.n, 2 * cm.m))
+remainder = cm.gamma - np.block([[cert.gamma_A, zeros], [zeros.T, cert.gamma_B]])
 print("lambda_min(gamma_A - iJ) =",
       "%.2e" % np.linalg.eigvalsh(cert.gamma_A - 1j * j_a)[0].real)
 print("lambda_min(gamma_B - iJ) =",

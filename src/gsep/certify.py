@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .engine import REASON_NORM_GAP_SEPARABLE, IterationTrace
-from .gaussian import BipartiteCM, symplectic_form
+from .gaussian import BipartiteCM, _direct_sum, symplectic_form
 from .matlin import DEFAULT_TOL, ToleranceConfig, operator_norm, psd_check
 
 __all__ = [
@@ -126,7 +125,7 @@ def reconstruct(trace: IterationTrace, tol: ToleranceConfig = DEFAULT_TOL) -> Se
     gamma_a = delta
     gamma_b = _shur_against(gamma0.A, gamma0.C, delta, gamma0.B, tol, 0)
     gamma_b = _cm_margin(gamma_b, tol, "reduced B-block", 0)
-    noise = gamma0.gamma - block_diag(gamma_a, gamma_b)
+    noise = gamma0.gamma - _direct_sum(gamma_a, gamma_b)
     noise = (noise + noise.T) / 2.0
     return SeparabilityCertificate(gamma_A=gamma_a, gamma_B=gamma_b, P=noise)
 
@@ -149,6 +148,6 @@ def verify_certificate(cm: BipartiteCM, certificate: SeparabilityCertificate,
         )
     rep_a = psd_check(gamma_a - 1j * symplectic_form(cm.n), tol)
     rep_b = psd_check(gamma_b - 1j * symplectic_form(cm.m), tol)
-    rep_p = psd_check(cm.gamma - block_diag(gamma_a, gamma_b), tol)
+    rep_p = psd_check(cm.gamma - _direct_sum(gamma_a, gamma_b), tol)
     valid = rep_a.is_psd and rep_b.is_psd and rep_p.is_psd
     return CertificateReport(valid, (rep_a.lambda_min, rep_b.lambda_min, rep_p.lambda_min))

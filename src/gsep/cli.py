@@ -10,7 +10,6 @@ ray, CSV), ``threshold`` (bisection for the separability threshold), and
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -32,7 +31,7 @@ from .gaussian import (
     symplectic_form,
     tmss,
 )
-from .io import dump_certificate, dump_cm, load_cm
+from .io import _canonical, dump_certificate, dump_cm, load_cm
 from .matlin import ToleranceConfig
 
 __all__ = ["main"]
@@ -52,10 +51,6 @@ def _write(text: str, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-def _json_doc(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _parse_eps_grid(spec: str) -> np.ndarray:
@@ -88,7 +83,7 @@ def _cmd_check(args) -> int:
         "reason": verdict.reason,
         "c_opnorm_history": list(verdict.trace.c_opnorm_history),
     }
-    _write(_json_doc(doc), args.output)
+    _write(_canonical(doc), args.output)
     return 0
 
 
@@ -112,11 +107,11 @@ def _cmd_certify(args) -> int:
             "witness_real": witness.real.tolist(),
             "witness_imag": witness.imag.tolist(),
         }
-        _write(_json_doc(doc), args.output)
+        _write(_canonical(doc), args.output)
         return 0
     doc = {"verdict": "undecided", "step": verdict.step, "margin": verdict.margin,
            "reason": verdict.reason}
-    _write(_json_doc(doc), args.output)
+    _write(_canonical(doc), args.output)
     return 0
 
 
@@ -143,7 +138,7 @@ def _cmd_threshold(args) -> int:
     tol = _tolerances(args)
     pert = load_cm(args.perturbation).gamma if args.perturbation else None
     eps = find_threshold(cm, pert, tol, args.max_iter, eps_max=args.eps_max)
-    _write(_json_doc({"threshold": eps}), args.output)
+    _write(_canonical({"threshold": eps}), args.output)
     return 0
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, expm
 
 from .matlin import DEFAULT_TOL, PsdReport, ToleranceConfig, psd_check
 
@@ -47,16 +46,32 @@ class InvalidCMError(CMError):
     """A structurally fine matrix that fails the ``gamma - iJ >= 0`` test."""
 
 
+# One read-only J per mode count: the iteration asks for J several times
+# per step, and rebuilding it with np.kron costs tens of microseconds.
+_SYMPLECTIC_FORMS: dict[int, np.ndarray] = {}
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Symplectic form for ``n_modes`` modes in interleaved ordering.
 
     Block-diagonal direct sum of ``n_modes`` copies of
-    ``[[0, -1], [1, 0]]``.
+    ``[[0, -1], [1, 0]]``.  The array is cached per size and read-only;
+    copy it before writing to it.
     """
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    j1 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    return np.kron(np.eye(n_modes), j1)
+    j = _SYMPLECTIC_FORMS.get(n_modes)
+    if j is None:
+        if n_modes < 1:
+            raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+        j = np.kron(np.eye(n_modes), np.array([[0.0, -1.0], [1.0, 0.0]]))
+        j.flags.writeable = False
+        _SYMPLECTIC_FORMS[n_modes] = j
+    return j
+
+
+def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Block-diagonal ``a oplus b`` of two square matrices."""
+    return np.block([[a, np.zeros((len(a), len(b)))],
+                     [np.zeros((len(b), len(a))), b]])
 
 
 def _ingest_symmetric(mat, name: str) -> np.ndarray:
@@ -214,8 +229,12 @@ def random_symplectic(n_modes: int, rng: np.random.Generator, n_factors: int = 3
 
     Each factor exponentiates ``J H`` with ``H`` a symmetrized standard
     normal matrix; such exponentials are symplectic, and a short product
-    of them mixes well enough for test fixtures.
+    of them mixes well enough for test fixtures.  This is the only
+    function in gsep that needs scipy, so scipy is imported here rather
+    than at module load.
     """
+    from scipy.linalg import expm
+
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     j = symplectic_form(n_modes)
@@ -286,5 +305,5 @@ def random_separable_cm(
     gamma_b = random_covariance(m, "mixed", rng=gen).gamma
     d = 2 * (n + m)
     r = gen.standard_normal((d, d)) / np.sqrt(d)
-    gamma = block_diag(gamma_a, gamma_b) + r @ r.T
+    gamma = _direct_sum(gamma_a, gamma_b) + r @ r.T
     return BipartiteCM.from_gamma(gamma, n, m), gamma_a, gamma_b

@@ -5,15 +5,21 @@ stdout/stderr can be asserted without spawning subprocesses.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gsep
 from gsep.cli import main
 from gsep.gaussian import BipartiteCM, random_cm, random_separable_cm, tmss
 from gsep.io import dump_cm, parse_certificate, parse_cm
 
 EPS_STAR_R1 = 1.0 - np.exp(-2.0)
+FIXTURE = Path(__file__).parent / "fixtures" / "ppt_entangled_2x2.json"
 
 
 def write_cm(tmp_path, cm, name="state.json"):
@@ -208,6 +214,47 @@ class TestGen:
         code, out, _ = run(capsys, "check", "--input", str(tmp_path / "sep.json"))
         assert code == 0
         assert json.loads(out)["verdict"] == "separable"
+
+
+class TestCanonicalOutput:
+    # one case per JSON document the CLI writes itself
+    @pytest.mark.parametrize("argv, state", [
+        (("check",), "separable"),
+        (("certify",), "entangled"),
+        (("certify", "--max-iter", "2"), "multi-step"),
+        (("threshold",), "entangled"),
+    ])
+    def test_json_is_sorted_indented_and_newline_terminated(self, tmp_path, capsys,
+                                                             argv, state):
+        cm = {"separable": random_separable_cm(2, 1, seed=3)[0],
+              "entangled": tmss(1.0),
+              "multi-step": random_cm(2, 2, "mixed", seed=37)}[state]
+        code, out, _ = run(capsys, *argv, "--input", write_cm(tmp_path, cm))
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+class TestColdStart:
+    def test_import_and_cli_runs_leave_scipy_unloaded(self, tmp_path):
+        separable = write_cm(tmp_path, random_separable_cm(2, 1, seed=3)[0])
+        code = (
+            "import sys, gsep\n"
+            "from gsep.cli import main\n"
+            "out = sys.argv[1]\n"
+            "for i, path in enumerate(sys.argv[2:]):\n"
+            "    for command in ('check', 'certify'):\n"
+            "        assert main([command, '--input', path,\n"
+            "                     '--output', f'{out}/{i}-{command}.json']) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        src = str(Path(gsep.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path), separable, str(FIXTURE)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120, check=True)
+        assert proc.stdout.strip() == "[]"
+        assert "gamma_A" in (tmp_path / "0-certify.json").read_text()
+        assert "witness_real" in (tmp_path / "1-certify.json").read_text()
 
 
 class TestTopLevel:
