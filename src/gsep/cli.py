@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__
 from .certify import CertificateError, reconstruct, verify_certificate
 from .engine import (
+    REASON_CONE_ENTANGLED,
     EngineError,
     VerdictKind,
     decide,
@@ -88,6 +89,15 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    """Verdict plus evidence: a verified certificate, or a witness.
+
+    The witness of an entangled verdict is the bottom eigenvector of the
+    matrix whose test fired, with ``lambda_min`` its eigenvalue.  When
+    the ``A``-block test fired that is ``A_N - iJ`` on ``n`` modes, a
+    vector of length ``2n``; when the iterate left the CM cone it is the
+    assembled ``gamma_N - iJ`` on ``n + n`` modes, a vector of length
+    ``4n``.
+    """
     cm = load_cm(args.input)
     tol = _tolerances(args)
     verdict = decide(cm, tol, args.max_iter)
@@ -98,7 +108,12 @@ def _cmd_certify(args) -> int:
         return 0
     if verdict.kind is VerdictKind.ENTANGLED:
         final = verdict.trace.steps[-1]
-        eigs, vecs = np.linalg.eigh(final.A - 1j * symplectic_form(cm.n))
+        if verdict.reason == REASON_CONE_ENTANGLED:
+            # the blocks may be fine; the assembled n+n iterate is not
+            witness_of = final.as_cm().gamma - 1j * symplectic_form(2 * cm.n)
+        else:
+            witness_of = final.A - 1j * symplectic_form(cm.n)
+        eigs, vecs = np.linalg.eigh(witness_of)
         witness = vecs[:, 0]
         doc = {
             "verdict": "entangled",

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +35,7 @@ from .gaussian import BipartiteCM, InvalidCMError, symplectic_form, validate_cm
 from .matlin import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _psd_by_cholesky,
     operator_norm,
     pseudoinverse,
     psd_check,
@@ -97,6 +99,12 @@ class IterationStep:
     the shifted block ``A_N - ||C_N||_op I``, and ``margin_full`` for the
     assembled iterate ``gamma_N - iJ``.  The ``scale_*`` companions are
     the ``max(1, |lambda|_max)`` factors the relative PSD tests use.
+
+    ``margin_full`` and ``scale_full`` are not constructor fields: both
+    are read from one eigensolve of ``gamma_N - iJ`` that runs on first
+    access and is cached, because :func:`decide` settles the cone test
+    with a Cholesky gate and needs that eigensolve only when the gate
+    fails.
     """
 
     index: int
@@ -104,17 +112,28 @@ class IterationStep:
     C: np.ndarray
     margin_A: float
     margin_L: float
-    margin_full: float
     c_opnorm: float
     a_trnorm: float
     scale_A: float
     scale_L: float
-    scale_full: float
 
     @property
     def B(self) -> np.ndarray:
         # iterates always have B_N = A_N
         return self.A
+
+    @cached_property
+    def _eigs_full(self) -> np.ndarray:
+        gamma = np.block([[self.A, self.C], [self.C.T, self.A]])
+        return np.linalg.eigvalsh(gamma - 1j * symplectic_form(self.A.shape[0]))
+
+    @property
+    def margin_full(self) -> float:
+        return float(self._eigs_full[0])
+
+    @property
+    def scale_full(self) -> float:
+        return max(1.0, float(np.abs(self._eigs_full).max()))
 
     def as_cm(self) -> BipartiteCM:
         return BipartiteCM.from_blocks(self.A, self.A, self.C)
@@ -209,20 +228,38 @@ def _make_step(index: int, cm: BipartiteCM, tol: ToleranceConfig) -> IterationSt
     # so no second eigensolve is needed.
     margin_l = margin_a - c_op
     scale_l = max(1.0, float(np.abs(eigs_a - c_op).max()))
-    eigs_full = np.linalg.eigvalsh(cm.gamma - 1j * symplectic_form(cm.n + cm.m))
     return IterationStep(
         index=index,
         A=cm.A,
         C=cm.C,
         margin_A=margin_a,
         margin_L=margin_l,
-        margin_full=float(eigs_full[0]),
         c_opnorm=c_op,
         a_trnorm=trace_norm(cm.A),
         scale_A=scale_a,
         scale_L=scale_l,
-        scale_full=max(1.0, float(np.abs(eigs_full).max())),
     )
+
+
+def _left_cone(step: IterationStep, tol: ToleranceConfig) -> bool:
+    """Whether ``gamma_N - iJ`` fails the PSD test, relatively and beyond the band.
+
+    With ``B_N = A_N`` and antisymmetric ``C_N``, the spectrum of
+    ``gamma_N - iJ`` is the union of the spectra of ``A_N - iJ + iC_N``
+    and ``A_N - iJ - iC_N``.  Cholesky factorizations of both halves,
+    shifted by ``tau <= max(decision_margin, psd_tol * scale_full)``
+    (``max |diag| <= |lambda|_max``), therefore prove that the test
+    cannot fire; only when one of them fails does the exact eigensolve
+    behind ``margin_full`` run.
+    """
+    a, c = step.A, step.C
+    tau = max(tol.decision_margin,
+              tol.psd_tol * max(1.0, float(np.abs(a.diagonal()).max())))
+    halves = a - 1j * (symplectic_form(a.shape[0] // 2) - np.stack((c, -c)))
+    if _psd_by_cholesky(halves, tau):
+        return False
+    return step.margin_full < -tol.psd_tol * step.scale_full \
+        and step.margin_full < -tol.decision_margin
 
 
 def theorem_checks(step: IterationStep, tol: ToleranceConfig = DEFAULT_TOL) -> TheoremReport:
@@ -277,8 +314,7 @@ def decide(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 
             trace = IterationTrace(cm, tuple(steps), REASON_NORM_GAP_SEPARABLE)
             return Verdict(VerdictKind.SEPARABLE, index, step.margin_L,
                            REASON_NORM_GAP_SEPARABLE, trace)
-        if step.margin_full < -tol.psd_tol * step.scale_full \
-                and step.margin_full < -tol.decision_margin:
+        if _left_cone(step, tol):
             # the iterate itself stopped being a CM: entangled input
             trace = IterationTrace(cm, tuple(steps), REASON_CONE_ENTANGLED)
             return Verdict(VerdictKind.ENTANGLED, index, step.margin_full,

@@ -116,6 +116,24 @@ def psd_check(mat, tol: ToleranceConfig = DEFAULT_TOL) -> PsdReport:
     return PsdReport(lambda_min >= -tol.psd_tol * scale, lambda_min)
 
 
+def _psd_by_cholesky(herm: np.ndarray, tau: float) -> bool:
+    """One-sided PSD gate: True iff ``herm + tau I`` has a Cholesky factor.
+
+    Success proves ``lambda_min(herm) > -tau`` up to rounding of order
+    ``d * eps * ||herm||``, at a fraction of an eigensolve's cost.
+    Failure proves nothing; callers fall back to the exact eigensolve.
+    Only the lower triangle is read, so ``herm`` must be Hermitian.  A
+    stack of shape ``(k, d, d)`` passes only if every matrix in it does,
+    at the call overhead of one factorization.
+    """
+    shifted = herm + tau * np.eye(herm.shape[-1])
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def operator_norm(mat) -> float:
     """Largest singular value.  Accepts rectangular input."""
     return float(np.linalg.norm(_as_matrix(mat), 2))

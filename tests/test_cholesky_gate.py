@@ -1,0 +1,142 @@
+"""The Cholesky gate that settles pass/fail PSD tests before any eigensolve.
+
+``matlin._psd_by_cholesky`` proves ``lambda_min > -tau`` when a shifted
+Cholesky factorization succeeds.  ``decide``'s cone test and
+``certify``'s CM checks use it and fall back to the exact eigensolve
+when it fails, so forcing every gate to fail must reproduce the same
+verdicts, margins, certificates and error messages bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import gsep.certify as certify
+import gsep.engine as engine
+from gsep.certify import CertificateError, reconstruct
+from gsep.engine import VerdictKind, decide
+from gsep.gaussian import (
+    BipartiteCM,
+    assemble,
+    random_cm,
+    random_separable_cm,
+    symplectic_form,
+    tmss,
+)
+from gsep.matlin import DEFAULT_TOL, _psd_by_cholesky, psd_check
+
+EPS_STAR_R1 = 1.0 - np.exp(-2.0)  # identity-noise threshold of tmss(1.0)
+
+
+def gate_population():
+    rng = np.random.default_rng(303)
+    states = [random_cm(1, 1, "mixed", rng=rng) for _ in range(500)]
+    rng = np.random.default_rng(2024)
+    states += [random_cm(2, 2, "mixed", rng=rng) for _ in range(60)]
+    gamma = tmss(1.0).gamma
+    states += [BipartiteCM.from_gamma(gamma + (EPS_STAR_R1 + s) * np.eye(4), 1, 1)
+               for s in (-1e-9, 1e-9)]
+    return states
+
+
+def fingerprint(cm):
+    """Everything a run reports, with ``margin_full``/``scale_full`` read lazily."""
+    verdict = decide(cm)
+    steps = [(s.index, s.margin_A, s.margin_L, s.margin_full, s.scale_full,
+              s.A.tobytes(), s.C.tobytes()) for s in verdict.trace.steps]
+    evidence = None
+    if verdict.kind is VerdictKind.SEPARABLE:
+        try:
+            cert = reconstruct(verdict.trace)
+            evidence = (cert.gamma_A.tobytes(), cert.gamma_B.tobytes(), cert.P.tobytes())
+        except CertificateError as exc:
+            evidence = str(exc)
+    return (verdict.kind, verdict.step, verdict.margin, verdict.reason, steps, evidence)
+
+
+def test_gated_runs_equal_the_exact_path(monkeypatch):
+    states = gate_population()
+    passes = []
+
+    def counting_gate(herm, tau):
+        passes.append(_psd_by_cholesky(herm, tau))
+        return passes[-1]
+
+    monkeypatch.setattr(engine, "_psd_by_cholesky", counting_gate)
+    monkeypatch.setattr(certify, "_psd_by_cholesky", counting_gate)
+    gated = [fingerprint(cm) for cm in states]
+    monkeypatch.setattr(engine, "_psd_by_cholesky", lambda herm, tau: False)
+    monkeypatch.setattr(certify, "_psd_by_cholesky", lambda herm, tau: False)
+    exact = [fingerprint(cm) for cm in states]
+
+    assert sum(passes) > 1000  # the gate really settled most checks
+    for k, (got, want) in enumerate(zip(gated, exact)):
+        assert got == want, k
+    kinds = {fp[0] for fp in gated}
+    assert kinds == {VerdictKind.SEPARABLE, VerdictKind.ENTANGLED}
+    assert any(isinstance(fp[5], str) for fp in gated)  # CertificateError messages too
+    assert any(fp[3] == engine.REASON_CONE_ENTANGLED for fp in gated)
+
+
+@pytest.mark.parametrize("cm", [random_separable_cm(2, 1, seed=4)[0],
+                                random_cm(2, 1, "mixed", seed=0)],
+                         ids=["planted-one-step", "mixed-three-steps"])
+def test_separable_run_skips_the_full_iterate_eigensolve(cm, monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(mat, *args, **kwargs):
+        shapes.append(np.shape(mat))
+        return eigvalsh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    verdict = decide(cm)
+    monkeypatch.undo()
+    assert verdict.kind is VerdictKind.SEPARABLE
+    full = 4 * cm.n
+    assert shapes and (full, full) not in shapes
+    for step in verdict.trace.steps:
+        want = np.linalg.eigvalsh(assemble(step.as_cm()) - 1j * symplectic_form(2 * cm.n))
+        assert step.margin_full == float(want[0])
+        assert step.scale_full == max(1.0, float(np.abs(want).max()))
+
+
+def test_gate_decides_clear_cases():
+    herm = np.diag([2.0, 1.0, -0.5])
+    assert _psd_by_cholesky(herm, 0.6)
+    assert not _psd_by_cholesky(herm, 0.4)
+    assert not _psd_by_cholesky(herm, 0.5)  # lambda_min = -tau exactly is singular
+    # a stack passes only if every matrix in it does
+    assert _psd_by_cholesky(np.stack((herm, herm + 1.0)), 0.6)
+    assert not _psd_by_cholesky(np.stack((herm + 1.0, herm)), 0.4)
+
+
+@st.composite
+def hermitian_near_tau(draw):
+    """A small Hermitian ``M`` with ``lambda_min = -tau (1 + offset)``.
+
+    ``tau`` is the certificate check's ``psd_tol * max(1, max |diag|)``
+    and ``1e-4 <= |offset| <= 1e-3``: close to ``-tau``, yet outside the
+    ``d^2 eps / psd_tol`` (about 4e-6) relative band where rounding may
+    decide either way.
+    """
+    d = draw(st.integers(1, 6))
+    entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    re = np.array(draw(st.lists(entries, min_size=d * d, max_size=d * d))).reshape(d, d)
+    im = np.array(draw(st.lists(entries, min_size=d * d, max_size=d * d))).reshape(d, d)
+    herm = (re + re.T) / 2.0 + 1j * (im - im.T) / 2.0
+    herm = herm - float(np.linalg.eigvalsh(herm)[0]) * np.eye(d)
+    tau = DEFAULT_TOL.psd_tol * max(1.0, float(np.abs(np.diag(herm)).max()))
+    offset = draw(st.floats(1e-4, 1e-3)) * draw(st.sampled_from([-1.0, 1.0]))
+    return herm - tau * (1.0 + offset) * np.eye(d), offset
+
+
+@settings(max_examples=200, deadline=None)
+@given(hermitian_near_tau())
+def test_gate_pass_implies_psd_check(case):
+    herm, offset = case
+    tau = DEFAULT_TOL.psd_tol * max(1.0, float(np.abs(np.diag(herm)).max()))
+    passed = _psd_by_cholesky(herm, tau)
+    assert passed == (offset < 0)
+    if passed:
+        assert psd_check(herm).is_psd

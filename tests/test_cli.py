@@ -113,6 +113,28 @@ class TestCertify:
         assert doc["lambda_min"] == pytest.approx(-1.0, abs=1e-9)
         assert len(doc["witness_real"]) == 2 and len(doc["witness_imag"]) == 2
 
+    def test_witness_eigenvalue_is_the_fired_margin(self, tmp_path, capsys):
+        # criterion 3's population: most entangled verdicts there are
+        # cone exits, whose A-block is a valid CM
+        rng = np.random.default_rng(303)
+        reasons = []
+        for k in range(500):
+            cm = random_cm(1, 1, "mixed", rng=rng)
+            verdict = gsep.decide(cm)
+            if verdict.kind is not gsep.VerdictKind.ENTANGLED:
+                continue
+            code, out, _ = run(capsys, "certify", "--input", write_cm(tmp_path, cm))
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["verdict"] == "entangled"
+            assert doc["lambda_min"] < 0, k
+            assert abs(doc["lambda_min"] - verdict.margin) <= 1e-12, k
+            cone = verdict.reason == gsep.engine.REASON_CONE_ENTANGLED
+            assert len(doc["witness_real"]) == (4 if cone else 2) * cm.n
+            reasons.append(verdict.reason)
+        assert len(reasons) == 180
+        assert reasons.count(gsep.engine.REASON_CONE_ENTANGLED) == 120
+
     def test_undecided_reports_margin(self, tmp_path, capsys):
         cm = random_cm(2, 2, "mixed", seed=37)
         code, out, _ = run(capsys, "certify", "--max-iter", "2",
