@@ -35,7 +35,8 @@ import numpy as np
 
 from .engine import REASON_NORM_GAP_SEPARABLE, IterationTrace
 from .gaussian import BipartiteCM, _direct_sum, symplectic_form
-from .matlin import DEFAULT_TOL, ToleranceConfig, _psd_by_cholesky, operator_norm, psd_check
+from .matlin import (DEFAULT_TOL, ToleranceConfig, _eigh_pinv, _kernel_range,
+                     _psd_by_cholesky, psd_check)
 
 __all__ = [
     "CertificateError",
@@ -90,25 +91,19 @@ def _shur_against(a_block: np.ndarray, c_block: np.ndarray, delta: np.ndarray,
     """Compute ``B - C^T (A - delta)^+ C`` with kernel-condition checks."""
     gap = (a_block - delta)
     gap = (gap + gap.T) / 2.0
-    eigs, vecs = np.linalg.eigh(gap)
+    eigs, vecs, kernel, gap_pinv = _eigh_pinv(gap, tol)
     scale = max(1.0, float(np.abs(eigs).max()))
     if float(eigs[0]) < -tol.psd_tol * scale:
         raise CertificateError(
             f"A - delta at step {step} is not PSD (margin {eigs[0]:.3e}); "
             "backward recursion cannot continue"
         )
-    kernel = eigs <= tol.pinv_rcond * max(float(eigs[-1]), 0.0)
-    if kernel.any():
-        residuals = np.linalg.norm(c_block.T @ vecs[:, kernel], axis=0)
-        allowance = tol.psd_tol * max(1.0, operator_norm(c_block))
-        if not np.all(residuals <= allowance):
-            raise CertificateError(
-                f"kernel condition fails at step {step}: ker(A - delta) is not "
-                f"contained in ker(C^T) (residual {residuals.max():.3e})"
-            )
-    inv = np.zeros_like(eigs)
-    np.divide(1.0, eigs, out=inv, where=~kernel & (eigs > 0))
-    gap_pinv = (vecs * inv) @ vecs.T
+    kernel_ok, residual = _kernel_range(c_block.T, vecs, kernel, tol)
+    if not kernel_ok:
+        raise CertificateError(
+            f"kernel condition fails at step {step}: ker(A - delta) is not "
+            f"contained in ker(C^T) (residual {residual:.3e})"
+        )
     out = b_block - c_block.T @ gap_pinv @ c_block
     return (out + out.T) / 2.0
 

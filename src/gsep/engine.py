@@ -114,7 +114,6 @@ class IterationStep:
     margin_L: float
     c_opnorm: float
     a_trnorm: float
-    scale_A: float
     scale_L: float
 
     @property
@@ -222,7 +221,6 @@ def _make_step(index: int, cm: BipartiteCM, tol: ToleranceConfig) -> IterationSt
     j_n = symplectic_form(cm.n)
     eigs_a = np.linalg.eigvalsh(cm.A - 1j * j_n)
     margin_a = float(eigs_a[0])
-    scale_a = max(1.0, float(np.abs(eigs_a).max()))
     c_op = operator_norm(cm.C)
     # L - iJ = (A - iJ) - c_op I shifts every eigenvalue by exactly -c_op,
     # so no second eigensolve is needed.
@@ -236,7 +234,6 @@ def _make_step(index: int, cm: BipartiteCM, tol: ToleranceConfig) -> IterationSt
         margin_L=margin_l,
         c_opnorm=c_op,
         a_trnorm=trace_norm(cm.A),
-        scale_A=scale_a,
         scale_L=scale_l,
     )
 
@@ -349,10 +346,10 @@ def decide_robust(cm: BipartiteCM, eps: float, tol: ToleranceConfig = DEFAULT_TO
         return Verdict(plus.kind, plus.step, plus.margin,
                        f"entangled even with +eps={eps:g} of identity noise",
                        plus.trace)
-    minus_gamma = cm.gamma - eps * np.eye(2 * (cm.n + cm.m))
-    if not validate_cm(minus_gamma, tol).is_psd:
+    try:
+        minus = decide(_shifted(cm, -eps), tol, max_iter)
+    except InvalidCMError:
         return decide(cm, tol, max_iter)
-    minus = decide(_shifted(cm, -eps), tol, max_iter)
     if minus.kind is VerdictKind.SEPARABLE:
         return Verdict(minus.kind, minus.step, minus.margin,
                        f"separable even after removing eps={eps:g} of identity",

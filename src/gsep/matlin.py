@@ -5,7 +5,9 @@ symmetrized on ingest, so callers may hand in matrices carrying
 roundoff-level asymmetry without tripping spurious failures.  Positivity
 is always judged relative to the matrix scale: the PSD test passes when
 the smallest eigenvalue stays above ``-psd_tol * max(1, largest
-|eigenvalue|)``.
+|eigenvalue|)``.  One kernel rule serves the decision map, certificate
+reconstruction and :func:`schur_psd`: eigenvalues at or below ``pinv_rcond
+* max(lambda_max, 0)``, tolerance-level negatives included, are zeroed.
 """
 
 from __future__ import annotations
@@ -71,6 +73,8 @@ class PsdReport(NamedTuple):
 
 
 class SchurReport(NamedTuple):
+    """``kernel_ok``: C vanishes on ker(B), negatives at or below the cutoff included."""
+
     is_psd: bool
     kernel_ok: bool
 
@@ -144,27 +148,41 @@ def trace_norm(mat) -> float:
     return float(np.linalg.norm(_as_matrix(mat), "nuc"))
 
 
+def _eigh_pinv(herm: np.ndarray, tol: ToleranceConfig):
+    """One ``eigh`` of Hermitian ``herm`` and its kernel-aware inverse.
+
+    Eigenvalues at or below ``pinv_rcond * max(lambda_max, 0)`` are kernel,
+    including the tolerance-level negatives a PSD-passing matrix may carry,
+    and are zeroed rather than inverted into huge negative contributions.
+    Returns ``(eigs, vecs, kernel, pinv)``, ``pinv = (V Lambda^+) V^H`` unsymmetrized.
+    """
+    eigs, vecs = np.linalg.eigh(herm)
+    kernel = eigs <= tol.pinv_rcond * max(float(eigs[-1]), 0.0)
+    inv = np.zeros_like(eigs)
+    np.divide(1.0, eigs, out=inv, where=~kernel)
+    return eigs, vecs, kernel, (vecs * inv) @ vecs.conj().T
+
+
+def _kernel_range(coupling: np.ndarray, vecs: np.ndarray, kernel: np.ndarray,
+                  tol: ToleranceConfig) -> tuple[bool, float]:
+    """Whether ``||coupling v|| <= psd_tol * max(1, ||coupling||_op)`` for
+    every kernel column ``v`` of ``vecs``, and the worst such residual."""
+    if not kernel.any():
+        return True, 0.0
+    residuals = np.linalg.norm(coupling @ vecs[:, kernel], axis=0)
+    allowance = tol.psd_tol * max(1.0, operator_norm(coupling))
+    return bool(np.all(residuals <= allowance)), float(residuals.max())
+
+
 def pseudoinverse(mat, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a Hermitian PSD matrix.
 
-    Built from an eigendecomposition of the Hermitian part.  Eigenvalues
-    at or below ``pinv_rcond * lambda_max`` count as kernel and are
-    zeroed; this includes the tolerance-level *negative* eigenvalues a
-    matrix may carry after passing ``psd_check``, which must land in the
-    kernel rather than be inverted into huge negative contributions.
-
-    The result is Hermitian and PSD by construction.  Inputs far from
-    PSD are outside the contract; use a general-purpose pseudoinverse
-    for those.
+    Built from an eigendecomposition of the Hermitian part under the
+    module's kernel rule, so tolerance-level negatives are zeroed.  The
+    result is Hermitian and PSD by construction.  Inputs far from PSD are
+    outside the contract; use a general-purpose pseudoinverse for those.
     """
-    herm = hermitian_part(mat)
-    eigs, vecs = np.linalg.eigh(herm)
-    cutoff = tol.pinv_rcond * max(float(eigs[-1]), 0.0)
-    keep = eigs > cutoff
-    inv = np.zeros_like(eigs)
-    np.divide(1.0, eigs, out=inv, where=keep)
-    pinv = (vecs * inv) @ vecs.conj().T
-    return hermitian_part(pinv)
+    return hermitian_part(_eigh_pinv(hermitian_part(mat), tol)[3])
 
 
 def schur_psd(block_a, block_b, block_c, tol: ToleranceConfig = DEFAULT_TOL) -> SchurReport:
@@ -173,7 +191,9 @@ def schur_psd(block_a, block_b, block_c, tol: ToleranceConfig = DEFAULT_TOL) -> 
     Decides PSD-ness of the symmetric block matrix without assembling
     it: the matrix is PSD exactly when B is PSD, the range condition
     ``ker(B) subset ker(C)`` holds (equivalently ``C (I - B B^+) = 0``),
-    and the complement ``A - C B^+ C^T`` is PSD.
+    and the complement ``A - C B^+ C^T`` is PSD.  Negative eigenvalues of
+    B at or below the pseudoinverse cutoff are checked as kernel, not
+    inverted.
 
     Args:
         block_a: Real symmetric, shape (p, p).
@@ -196,25 +216,11 @@ def schur_psd(block_a, block_b, block_c, tol: ToleranceConfig = DEFAULT_TOL) -> 
             f"{a.shape} and {b.shape}"
         )
 
-    eigs, vecs = np.linalg.eigh(b)
-    scale_b = max(1.0, float(np.abs(eigs).max()))
-    kernel = np.abs(eigs) <= tol.pinv_rcond * scale_b
-
-    kernel_ok = True
-    if kernel.any():
-        residuals = np.linalg.norm(c @ vecs[:, kernel], axis=0)
-        allowance = tol.psd_tol * max(1.0, operator_norm(c))
-        kernel_ok = bool(np.all(residuals <= allowance))
-
-    # B may be indefinite here (its PSD-ness is judged separately), so
-    # invert the signed eigenvalues outside the kernel band.
-    inv = np.zeros_like(eigs)
-    np.divide(1.0, eigs, out=inv, where=~kernel)
-    b_pinv = (vecs * inv) @ vecs.T
-
-    b_psd = float(eigs[0]) >= -tol.psd_tol * scale_b
+    eigs, vecs, kernel, b_pinv = _eigh_pinv(b, tol)
+    kernel_ok = _kernel_range(c, vecs, kernel, tol)[0]
+    b_psd = float(eigs[0]) >= -tol.psd_tol * max(1.0, float(np.abs(eigs).max()))
     complement_psd = psd_check(a - c @ b_pinv @ c.T, tol).is_psd
-    return SchurReport(bool(b_psd and kernel_ok and complement_psd), bool(kernel_ok))
+    return SchurReport(bool(b_psd and kernel_ok and complement_psd), kernel_ok)
 
 
 def hermitian_reduce_psd(sym, antisym, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

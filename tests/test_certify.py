@@ -10,7 +10,13 @@ from gsep.certify import (
     reconstruct,
     verify_certificate,
 )
-from gsep.engine import VerdictKind, decide
+from gsep.engine import (
+    REASON_NORM_GAP_SEPARABLE,
+    IterationStep,
+    IterationTrace,
+    VerdictKind,
+    decide,
+)
 from gsep.gaussian import (
     BipartiteCM,
     random_cm,
@@ -144,6 +150,19 @@ class TestReconstructFailures:
         assert verdict.kind is VerdictKind.SEPARABLE
         with pytest.raises(CertificateError, match="step 0"):
             reconstruct(verdict.trace)
+
+    def test_kernel_condition_failure_reports_residual(self):
+        # one-step trace with delta_1 = 2 I: A_0 - delta_1 = diag(0, 1) has
+        # kernel e_1, on which C_0^T does not vanish
+        step = IterationStep(index=1, A=2.0 * np.eye(2), C=np.zeros((2, 2)),
+                             margin_A=1.0, margin_L=1.0, c_opnorm=0.0,
+                             a_trnorm=4.0, scale_L=3.0)
+        gamma0 = BipartiteCM.from_blocks(np.diag([2.0, 3.0]), 2.0 * np.eye(2),
+                                         np.array([[0.5, 0.0], [0.0, 0.0]]))
+        trace = IterationTrace(gamma0, (step,), REASON_NORM_GAP_SEPARABLE)
+        with pytest.raises(CertificateError, match="kernel condition fails at step") as exc:
+            reconstruct(trace)
+        assert "residual 5.000e-01" in str(exc.value)
 
 
 class TestVerifyCertificate:

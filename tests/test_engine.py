@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import block_diag
 
 import gsep.engine as engine
+import gsep.gaussian as gaussian
 from gsep.engine import (
     BracketError,
     MapPreconditionError,
@@ -30,7 +31,7 @@ from gsep.gaussian import (
     tmss,
     validate_cm,
 )
-from gsep.matlin import trace_norm
+from gsep.matlin import DEFAULT_TOL, psd_check, trace_norm
 
 J1 = np.array([[0.0, -1.0], [1.0, 0.0]])
 EPS_STAR_R1 = 1.0 - np.exp(-2.0)  # identity-noise threshold of tmss(1.0)
@@ -262,6 +263,20 @@ class TestDecideRobust:
     def test_rejects_non_positive_eps(self):
         with pytest.raises(ValueError, match="eps"):
             decide_robust(vacuum(), eps=0.0)
+
+    def test_shrunk_state_is_validated_once(self, monkeypatch):
+        # the decide on gamma - eps I validates it; no separate pre-check
+        shapes = []
+
+        def counting(mat, tol=DEFAULT_TOL):
+            shapes.append(np.shape(mat))
+            return psd_check(mat, tol)
+
+        for module in (gaussian, engine):
+            monkeypatch.setattr(module, "psd_check", counting)
+        verdict = decide_robust(random_separable_cm(1, 1, seed=0)[0], 1e-6)
+        assert verdict.kind is VerdictKind.SEPARABLE
+        assert shapes == [(4, 4), (4, 4)]  # validate gamma + eps I, gamma - eps I
 
 
 class TestSweep:

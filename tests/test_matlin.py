@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gsep.matlin import (
     DEFAULT_TOL,
@@ -239,6 +240,15 @@ class TestSchurPsd:
             )
         assert judged >= 400
 
+    def test_tolerance_negative_of_b_is_kernel(self):
+        # B passes its own PSD test, but inverting its -1e-10 would add
+        # 1e10 to the complement and hide the assembled eigenvalue -0.618
+        a, b, c = np.eye(1), np.diag([1.0, -1e-10]), np.array([[0.0, 1.0]])
+        report = schur_psd(a, b, c)
+        assert not report.is_psd
+        assert not report.kernel_ok
+        assert not psd_check(np.block([[a, c], [c.T, b]])).is_psd
+
     def test_shape_mismatch(self):
         with pytest.raises(MatrixInputError, match="incompatible"):
             schur_psd(np.eye(2), np.eye(3), np.zeros((3, 3)))
@@ -246,6 +256,41 @@ class TestSchurPsd:
     def test_rejects_complex(self):
         with pytest.raises(MatrixInputError, match="real"):
             schur_psd(np.eye(2) + 0j * J1, np.eye(2), 1j * np.zeros((2, 2)))
+
+
+@st.composite
+def tolerance_negative_blocks(draw):
+    """Blocks ``A``, ``B``, ``C`` where B has one eigenvalue in
+    ``(-psd_tol, -pinv_rcond) * scale``, ``scale = |lambda|_max(B) >= 1``.
+
+    B passes its own PSD test, yet that eigenvalue lies below the
+    pseudoinverse cutoff, so the kernel rule rather than an inversion
+    must handle it.
+    """
+    p, q = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+    def matrix(rows, cols):
+        flat = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+        return np.array(flat).reshape(rows, cols)
+
+    scale = draw(st.floats(1.0, 10.0))
+    exponent = draw(st.floats(np.log10(DEFAULT_TOL.pinv_rcond) + 0.1,
+                              np.log10(DEFAULT_TOL.psd_tol) - 0.1))
+    middle = [draw(st.floats(0.5, 1.0)) * scale for _ in range(q - 2)]
+    eigs = np.array([-(10.0 ** exponent) * scale, *middle, scale])
+    basis = np.linalg.qr(matrix(q, q))[0]
+    g = matrix(p, p)
+    return g @ g.T, (basis * eigs) @ basis.T, matrix(p, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tolerance_negative_blocks())
+def test_schur_psd_matches_assembled_with_tolerance_negative_b(blocks):
+    a, b, c = blocks
+    assembled = np.block([[a, c], [c.T, b]])
+    assume(abs(float(np.linalg.eigvalsh(assembled)[0])) > 1e-6)
+    assert schur_psd(a, b, c).is_psd == psd_check(assembled).is_psd
 
 
 class TestHermitianReducePsd:
