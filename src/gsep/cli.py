@@ -176,7 +176,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
 
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write result to this file instead of stdout")
+    # tolerances and the iteration limit, for the commands that decide
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--tol-psd", type=float, default=1e-9,
                         help="relative PSD tolerance (default 1e-9)")
     common.add_argument("--tol-pinv", type=float, default=1e-12,
@@ -185,7 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="absolute decision band (default 1e-10)")
     common.add_argument("--max-iter", type=int, default=200,
                         help="iteration limit (default 200)")
-    common.add_argument("--output", help="write result to this file instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -222,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="give up bracketing above this eps (default 1e6)")
     p.set_defaults(func=_cmd_threshold)
 
-    p = sub.add_parser("gen", parents=[common], help="generate fixture states")
+    p = sub.add_parser("gen", parents=[output], help="generate fixture states")
     p.add_argument("kind", choices=["tmss", "random", "separable"])
     p.add_argument("--r", type=float, default=1.0, help="squeezing for tmss")
     p.add_argument("--n", type=int, default=1, help="modes on the first side")

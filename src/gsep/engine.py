@@ -50,7 +50,6 @@ __all__ = [
     "MapPreconditionError",
     "NumericalError",
     "SweepPoint",
-    "TheoremReport",
     "Verdict",
     "VerdictKind",
     "decide",
@@ -58,7 +57,6 @@ __all__ = [
     "find_threshold",
     "map_step",
     "sweep",
-    "theorem_checks",
 ]
 
 
@@ -116,11 +114,6 @@ class IterationStep:
     a_trnorm: float
     scale_L: float
 
-    @property
-    def B(self) -> np.ndarray:
-        # iterates always have B_N = A_N
-        return self.A
-
     @cached_property
     def _eigs_full(self) -> np.ndarray:
         gamma = np.block([[self.A, self.C], [self.C.T, self.A]])
@@ -150,10 +143,6 @@ class IterationTrace:
     def c_opnorm_history(self) -> tuple[float, ...]:
         return tuple(step.c_opnorm for step in self.steps)
 
-    @property
-    def a_trnorm_history(self) -> tuple[float, ...]:
-        return tuple(step.a_trnorm for step in self.steps)
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -169,13 +158,6 @@ class Verdict:
     margin: float
     reason: str
     trace: IterationTrace
-
-
-class TheoremReport(NamedTuple):
-    entangled_fired: bool
-    separable_fired: bool
-    margin_A: float
-    margin_L: float
 
 
 class SweepPoint(NamedTuple):
@@ -216,8 +198,6 @@ def map_step(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, validate: bool
 
 def _make_step(index: int, cm: BipartiteCM, tol: ToleranceConfig) -> IterationStep:
     """Assemble an IterationStep with all margins for iterate ``cm``."""
-    if not (np.all(np.isfinite(cm.A)) and np.all(np.isfinite(cm.C))):
-        raise NumericalError(f"non-finite iterate at step {index}")
     j_n = symplectic_form(cm.n)
     eigs_a = np.linalg.eigvalsh(cm.A - 1j * j_n)
     margin_a = float(eigs_a[0])
@@ -259,29 +239,15 @@ def _left_cone(step: IterationStep, tol: ToleranceConfig) -> bool:
         and step.margin_full < -tol.decision_margin
 
 
-def theorem_checks(step: IterationStep, tol: ToleranceConfig = DEFAULT_TOL) -> TheoremReport:
-    """Apply the two one-sided termination tests to an iterate.
-
-    Only defined for ``N >= 1``; the tests say nothing about the input
-    ``gamma_0`` itself.  The entangled test fires when ``margin_A`` falls
-    decisively below zero (beyond the absolute decision band); the
-    separable test fires when the norm-shifted block passes the relative
-    PSD test.
-    """
-    if step.index < 1:
-        raise ValueError(f"termination tests apply to iterates N >= 1, got {step.index}")
-    entangled = step.margin_A < -tol.decision_margin
-    separable = step.margin_L >= -tol.psd_tol * step.scale_L
-    return TheoremReport(entangled, separable, step.margin_A, step.margin_L)
-
-
 def decide(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 200) -> Verdict:
     """Decide separability of a bipartite Gaussian state.
 
     The input must be a valid CM; anything else is rejected as
-    not-a-state rather than classified.  Iterates are tested in order
-    (entangled test, separable test, then validity of the full iterate);
-    the first decisive test terminates the run.
+    not-a-state rather than classified.  Iterates ``N >= 1`` are tested
+    in order, and the first test that fires terminates the run: the
+    entangled test (``margin_A`` decisively below zero, beyond the
+    absolute decision band), the separable test (the norm-shifted block
+    passes the relative PSD test), then validity of the full iterate.
 
     Returns:
         A Verdict whose trace retains the input and every iterate, which
@@ -302,12 +268,11 @@ def decide(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 
         current = map_step(current, tol, validate=False)
         step = _make_step(index, current, tol)
         steps.append(step)
-        checks = theorem_checks(step, tol)
-        if checks.entangled_fired:
+        if step.margin_A < -tol.decision_margin:
             trace = IterationTrace(cm, tuple(steps), REASON_BLOCK_ENTANGLED)
             return Verdict(VerdictKind.ENTANGLED, index, step.margin_A,
                            REASON_BLOCK_ENTANGLED, trace)
-        if checks.separable_fired:
+        if step.margin_L >= -tol.psd_tol * step.scale_L:
             trace = IterationTrace(cm, tuple(steps), REASON_NORM_GAP_SEPARABLE)
             return Verdict(VerdictKind.SEPARABLE, index, step.margin_L,
                            REASON_NORM_GAP_SEPARABLE, trace)
@@ -325,6 +290,16 @@ def _shifted(cm: BipartiteCM, eps: float, perturbation: np.ndarray | None = None
     d = 2 * (cm.n + cm.m)
     pert = np.eye(d) if perturbation is None else perturbation
     return BipartiteCM.from_gamma(cm.gamma + eps * pert, cm.n, cm.m)
+
+
+def _checked_perturbation(cm: BipartiteCM, perturbation, tol: ToleranceConfig) -> np.ndarray:
+    """``perturbation`` as a float array, if it is a PSD matrix of ``cm``'s size."""
+    pert = np.asarray(perturbation, dtype=float)
+    if pert.shape != (2 * (cm.n + cm.m),) * 2:
+        raise ValueError(f"perturbation has wrong shape {pert.shape}")
+    if not psd_check(pert, tol).is_psd:
+        raise ValueError("perturbation must be PSD")
+    return pert
 
 
 def decide_robust(cm: BipartiteCM, eps: float, tol: ToleranceConfig = DEFAULT_TOL,
@@ -373,11 +348,7 @@ def sweep(cm: BipartiteCM, perturbation: np.ndarray, eps_grid,
         raise ValueError("eps grid is empty")
     if not np.all(np.isfinite(grid)) or np.any(grid < 0):
         raise ValueError("eps grid must be finite and non-negative")
-    pert = np.asarray(perturbation, dtype=float)
-    if pert.shape != (2 * (cm.n + cm.m),) * 2:
-        raise ValueError(f"perturbation has wrong shape {pert.shape}")
-    if not psd_check(pert, tol).is_psd:
-        raise ValueError("perturbation must be PSD")
+    pert = _checked_perturbation(cm, perturbation, tol)
 
     points = []
     for eps in np.sort(grid):
@@ -400,11 +371,9 @@ def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
     and returns its midpoint.  UNDECIDED verdicts count as
     not-yet-separable, so the returned value errs on the large side.
     """
-    pert = np.eye(2 * (cm.n + cm.m)) if perturbation is None else np.asarray(perturbation, dtype=float)
-    if pert.shape != (2 * (cm.n + cm.m),) * 2:
-        raise ValueError(f"perturbation has wrong shape {pert.shape}")
-    if not psd_check(pert, tol).is_psd:
-        raise ValueError("perturbation must be PSD")
+    if perturbation is None:
+        perturbation = np.eye(2 * (cm.n + cm.m))
+    pert = _checked_perturbation(cm, perturbation, tol)
 
     base = decide(cm, tol, max_iter)
     if base.kind is VerdictKind.SEPARABLE:

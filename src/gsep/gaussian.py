@@ -18,16 +18,13 @@ from .matlin import DEFAULT_TOL, PsdReport, ToleranceConfig, psd_check
 __all__ = [
     "BipartiteCM",
     "CMError",
-    "CovarianceMatrix",
     "InvalidCMError",
-    "assemble",
     "momentum_flip",
     "partial_transpose",
     "random_cm",
     "random_covariance",
     "random_separable_cm",
     "random_symplectic",
-    "split",
     "symplectic_form",
     "tmss",
     "validate_cm",
@@ -45,6 +42,9 @@ class CMError(ValueError):
 class InvalidCMError(CMError):
     """A structurally fine matrix that fails the ``gamma - iJ >= 0`` test."""
 
+
+# Bound on the per-mode squeezing of random_symplectic.
+_SQUEEZE_MAX = 1.0
 
 # One read-only J per mode count: the iteration asks for J several times
 # per step, and rebuilding it with np.kron costs tens of microseconds.
@@ -88,25 +88,6 @@ def _ingest_symmetric(mat, name: str) -> np.ndarray:
     sym = (arr + arr.T) / 2.0
     sym.flags.writeable = False
     return sym
-
-
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """A correlation matrix together with its mode count.
-
-    Construct via :meth:`from_array`, which symmetrizes roundoff-level
-    asymmetry and rejects anything structurally wrong.  Validity of the
-    state (``gamma - iJ >= 0``) is a separate question answered by
-    :func:`validate_cm`.
-    """
-
-    n_modes: int
-    gamma: np.ndarray
-
-    @classmethod
-    def from_array(cls, gamma) -> "CovarianceMatrix":
-        sym = _ingest_symmetric(gamma, "gamma")
-        return cls(n_modes=sym.shape[0] // 2, gamma=sym)
 
 
 @dataclass(frozen=True)
@@ -154,42 +135,19 @@ class BipartiteCM:
 
     @property
     def gamma(self) -> np.ndarray:
-        return assemble(self)
-
-    def block_validity(self, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, bool]:
-        """Whether A and B are themselves valid single-party CMs."""
-        a_ok = psd_check(self.A - 1j * symplectic_form(self.n), tol).is_psd
-        b_ok = psd_check(self.B - 1j * symplectic_form(self.m), tol).is_psd
-        return a_ok, b_ok
-
-
-def assemble(cm: BipartiteCM) -> np.ndarray:
-    """Assemble ``[[A, C], [C^T, B]]`` into one symmetric matrix."""
-    top = np.hstack([cm.A, cm.C])
-    bottom = np.hstack([cm.C.T, cm.B])
-    return np.vstack([top, bottom])
-
-
-def split(gamma, n: int, m: int | None = None) -> BipartiteCM:
-    """Split an assembled correlation matrix into its bipartite blocks."""
-    return BipartiteCM.from_gamma(gamma, n, m)
+        """The assembled matrix ``[[A, C], [C^T, B]]``."""
+        return np.vstack([np.hstack([self.A, self.C]), np.hstack([self.C.T, self.B])])
 
 
 def validate_cm(gamma, tol: ToleranceConfig = DEFAULT_TOL) -> PsdReport:
     """Test whether ``gamma`` is a valid correlation matrix.
 
-    Accepts a plain array, a :class:`CovarianceMatrix`, or a
-    :class:`BipartiteCM`.  Structural problems (odd dimension, asymmetry
-    beyond tolerance, non-finite entries) raise :class:`CMError`; the
-    returned report answers only the ``gamma - iJ >= 0`` question, with
-    ``lambda_min`` as the margin.
+    Accepts a plain array or a :class:`BipartiteCM`.  Structural
+    problems (odd dimension, asymmetry beyond tolerance, non-finite
+    entries) raise :class:`CMError`; the returned report answers only
+    the ``gamma - iJ >= 0`` question, with ``lambda_min`` as the margin.
     """
-    if isinstance(gamma, BipartiteCM):
-        arr = gamma.gamma
-    elif isinstance(gamma, CovarianceMatrix):
-        arr = gamma.gamma
-    else:
-        arr = CovarianceMatrix.from_array(gamma).gamma
+    arr = gamma.gamma if isinstance(gamma, BipartiteCM) else _ingest_symmetric(gamma, "gamma")
     j = symplectic_form(arr.shape[0] // 2)
     return psd_check(arr - 1j * j, tol)
 
@@ -224,25 +182,31 @@ def partial_transpose(cm: BipartiteCM) -> BipartiteCM:
     return BipartiteCM.from_blocks(cm.A, flip @ cm.B @ flip, cm.C @ flip)
 
 
-def random_symplectic(n_modes: int, rng: np.random.Generator, n_factors: int = 3) -> np.ndarray:
-    """Random symplectic matrix, a product of ``expm(J H)`` factors.
+def _passive(n_modes: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random orthogonal symplectic matrix, a passive optical network.
 
-    Each factor exponentiates ``J H`` with ``H`` a symmetrized standard
-    normal matrix; such exponentials are symplectic, and a short product
-    of them mixes well enough for test fixtures.  This is the only
-    function in gsep that needs scipy, so scipy is imported here rather
-    than at module load.
+    The unitary ``U`` acting as ``x + ip -> U (x + ip)`` is the QR factor
+    of a complex Gaussian matrix with the phase fix of Mezzadri, Notices
+    AMS 54, 592 (2007), which makes it Haar distributed.
     """
-    from scipy.linalg import expm
+    z = rng.standard_normal((n_modes, n_modes)) + 1j * rng.standard_normal((n_modes, n_modes))
+    q, r = np.linalg.qr(z)
+    u = q * (r.diagonal() / np.abs(r.diagonal()))
+    return np.kron(u.real, np.eye(2)) + np.kron(u.imag, symplectic_form(1))
 
+
+def random_symplectic(n_modes: int, rng: np.random.Generator) -> np.ndarray:
+    """Random symplectic matrix in Euler form ``O1 diag(e^r1, e^-r1, ...) O2``.
+
+    ``O1`` and ``O2`` are Haar-random passive networks and every
+    squeezing ``r_i`` is uniform on ``[0, _SQUEEZE_MAX]``, so
+    ``cond(S S^T) <= exp(4 _SQUEEZE_MAX)`` at any mode count.
+    """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    j = symplectic_form(n_modes)
-    s = np.eye(2 * n_modes)
-    for _ in range(n_factors):
-        g = rng.standard_normal((2 * n_modes, 2 * n_modes))
-        s = s @ expm(j @ ((g + g.T) / 2.0))
-    return s
+    r = rng.uniform(0.0, _SQUEEZE_MAX, n_modes)
+    squeeze = np.exp(np.outer(r, [1.0, -1.0])).ravel()
+    return (_passive(n_modes, rng) * squeeze) @ _passive(n_modes, rng)
 
 
 def _resolve_rng(seed, rng):
@@ -256,8 +220,8 @@ def random_covariance(
     purity: str = "mixed",
     seed: int | None = None,
     rng: np.random.Generator | None = None,
-) -> CovarianceMatrix:
-    """Random valid correlation matrix on ``n_modes`` modes.
+) -> np.ndarray:
+    """Random valid correlation matrix on ``n_modes`` modes, read-only.
 
     ``purity="pure"`` returns ``S S^T`` for a random symplectic ``S``
     (determinant one, saturating the validity bound).  ``purity="mixed"``
@@ -272,7 +236,7 @@ def random_covariance(
     if purity == "mixed":
         r = gen.standard_normal((2 * n_modes, 2 * n_modes)) / np.sqrt(2 * n_modes)
         gamma = gamma + r @ r.T
-    return CovarianceMatrix.from_array(gamma)
+    return _ingest_symmetric(gamma, "gamma")
 
 
 def random_cm(
@@ -283,8 +247,8 @@ def random_cm(
     rng: np.random.Generator | None = None,
 ) -> BipartiteCM:
     """Random valid bipartite correlation matrix on ``n + m`` modes."""
-    cov = random_covariance(n + m, purity=purity, seed=seed, rng=rng)
-    return BipartiteCM.from_gamma(cov.gamma, n, m)
+    gamma = random_covariance(n + m, purity=purity, seed=seed, rng=rng)
+    return BipartiteCM.from_gamma(gamma, n, m)
 
 
 def random_separable_cm(
@@ -301,8 +265,8 @@ def random_separable_cm(
     and ``gamma_B`` for use as ground truth in tests.
     """
     gen = _resolve_rng(seed, rng)
-    gamma_a = random_covariance(n, "mixed", rng=gen).gamma
-    gamma_b = random_covariance(m, "mixed", rng=gen).gamma
+    gamma_a = random_covariance(n, "mixed", rng=gen)
+    gamma_b = random_covariance(m, "mixed", rng=gen)
     d = 2 * (n + m)
     r = gen.standard_normal((d, d)) / np.sqrt(d)
     gamma = _direct_sum(gamma_a, gamma_b) + r @ r.T

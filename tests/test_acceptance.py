@@ -13,18 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
 
+from _expm_fixtures import random_cm, random_separable_cm
 from gsep.certify import reconstruct, verify_certificate
 from gsep.engine import VerdictKind, decide, find_threshold
-from gsep.gaussian import (
-    BipartiteCM,
-    random_cm,
-    random_separable_cm,
-    symplectic_form,
-    tmss,
-    validate_cm,
-)
+from gsep.gaussian import BipartiteCM, symplectic_form, tmss, validate_cm
 from gsep.io import load_cm
 from gsep.matlin import ToleranceConfig, hermitian_reduce_psd, schur_psd, trace_norm
 from gsep.ppt import ppt_check

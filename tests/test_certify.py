@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from _expm_fixtures import random_cm, random_covariance, random_separable_cm
 from gsep.certify import (
     CertificateError,
     SeparabilityCertificate,
@@ -17,14 +18,7 @@ from gsep.engine import (
     VerdictKind,
     decide,
 )
-from gsep.gaussian import (
-    BipartiteCM,
-    random_cm,
-    random_covariance,
-    random_separable_cm,
-    symplectic_form,
-    tmss,
-)
+from gsep.gaussian import BipartiteCM, symplectic_form, tmss
 from gsep.matlin import pseudoinverse
 
 
@@ -60,8 +54,8 @@ class TestReconstructClosedForms:
 
     def test_product_state_recovers_blocks(self):
         rng = np.random.default_rng(9)
-        a = random_covariance(1, "mixed", rng=rng).gamma
-        b = random_covariance(2, "mixed", rng=rng).gamma
+        a = random_covariance(1, "mixed", rng=rng)
+        b = random_covariance(2, "mixed", rng=rng)
         cm = BipartiteCM.from_blocks(a, b, np.zeros((2, 4)))
         verdict = decide(cm)
         cert = reconstruct(verdict.trace)
@@ -142,8 +136,8 @@ class TestReconstructFailures:
         # cannot certify it and must say so rather than emit garbage
         rng = np.random.default_rng(6)
         mix = 1e-3
-        ga = random_covariance(2, "pure", rng=rng).gamma + mix * np.eye(4)
-        gb = random_covariance(2, "pure", rng=rng).gamma + mix * np.eye(4)
+        ga = random_covariance(2, "pure", rng=rng) + mix * np.eye(4)
+        gb = random_covariance(2, "pure", rng=rng) + mix * np.eye(4)
         r = mix * rng.standard_normal((8, 8)) / np.sqrt(8)
         cm = BipartiteCM.from_gamma(block_diag(ga, gb) + r @ r.T, 2, 2)
         verdict = decide(cm)

@@ -13,16 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 import gsep.certify as certify
 import gsep.engine as engine
+from _expm_fixtures import random_cm, random_separable_cm
 from gsep.certify import CertificateError, reconstruct
 from gsep.engine import VerdictKind, decide
-from gsep.gaussian import (
-    BipartiteCM,
-    assemble,
-    random_cm,
-    random_separable_cm,
-    symplectic_form,
-    tmss,
-)
+from gsep.gaussian import BipartiteCM, symplectic_form, tmss
 from gsep.matlin import DEFAULT_TOL, _psd_by_cholesky, psd_check
 
 EPS_STAR_R1 = 1.0 - np.exp(-2.0)  # identity-noise threshold of tmss(1.0)
@@ -96,7 +90,7 @@ def test_separable_run_skips_the_full_iterate_eigensolve(cm, monkeypatch):
     full = 4 * cm.n
     assert shapes and (full, full) not in shapes
     for step in verdict.trace.steps:
-        want = np.linalg.eigvalsh(assemble(step.as_cm()) - 1j * symplectic_form(2 * cm.n))
+        want = np.linalg.eigvalsh(step.as_cm().gamma - 1j * symplectic_form(2 * cm.n))
         assert step.margin_full == float(want[0])
         assert step.scale_full == max(1.0, float(np.abs(want).max()))
 

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import gsep
+from _expm_fixtures import random_cm, random_separable_cm
 from gsep.cli import main
-from gsep.gaussian import BipartiteCM, random_cm, random_separable_cm, tmss
+from gsep.gaussian import BipartiteCM, tmss
 from gsep.io import dump_cm, parse_certificate, parse_cm
 
 EPS_STAR_R1 = 1.0 - np.exp(-2.0)
@@ -237,6 +238,16 @@ class TestGen:
         assert code == 0
         assert json.loads(out)["verdict"] == "separable"
 
+    def test_rejects_decision_flags(self, tmp_path, capsys):
+        # gen decides nothing, so the tolerance flags are usage errors
+        with pytest.raises(SystemExit) as info:
+            main(["gen", "tmss", "--margin", "1e-3"])
+        assert info.value.code == 2
+        assert "--margin" in capsys.readouterr().err
+        code, _, _ = run(capsys, "check", "--margin", "1e-3",
+                         "--input", write_cm(tmp_path, tmss(1.0)))
+        assert code == 0
+
 
 class TestCanonicalOutput:
     # one case per JSON document the CLI writes itself
@@ -277,6 +288,34 @@ class TestColdStart:
         assert proc.stdout.strip() == "[]"
         assert "gamma_A" in (tmp_path / "0-certify.json").read_text()
         assert "witness_real" in (tmp_path / "1-certify.json").read_text()
+
+
+    def test_runs_with_scipy_unimportable(self, tmp_path):
+        # numpy is the only runtime dependency: gen, check and certify
+        # all work in an interpreter where importing scipy fails
+        code = (
+            "import sys\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'scipy' or name.startswith('scipy.'):\n"
+            "            raise ImportError('scipy blocked')\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+            "import gsep\n"
+            "from gsep.cli import main\n"
+            "out = sys.argv[1]\n"
+            "for kind in ('tmss', 'random', 'separable'):\n"
+            "    path = f'{out}/{kind}.json'\n"
+            "    assert main(['gen', kind, '--seed', '1', '--output', path]) == 0\n"
+            "    for command in ('check', 'certify'):\n"
+            "        assert main([command, '--input', path,\n"
+            "                     '--output', f'{out}/{kind}-{command}.json']) == 0\n"
+        )
+        src = str(Path(gsep.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "gamma_A" in (tmp_path / "separable-certify.json").read_text()
 
 
 class TestTopLevel:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from _expm_fixtures import random_cm, random_covariance, random_separable_cm
 import gsep.engine as engine
 import gsep.gaussian as gaussian
 from gsep.engine import (
@@ -19,18 +20,8 @@ from gsep.engine import (
     find_threshold,
     map_step,
     sweep,
-    theorem_checks,
 )
-from gsep.gaussian import (
-    BipartiteCM,
-    InvalidCMError,
-    random_cm,
-    random_covariance,
-    random_separable_cm,
-    symplectic_form,
-    tmss,
-    validate_cm,
-)
+from gsep.gaussian import BipartiteCM, InvalidCMError, symplectic_form, tmss
 from gsep.matlin import DEFAULT_TOL, psd_check, trace_norm
 
 J1 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -44,8 +35,8 @@ def vacuum(n=1, m=1):
 class TestMapStep:
     def test_product_state_keeps_a_block(self):
         rng = np.random.default_rng(10)
-        a = random_covariance(2, "mixed", rng=rng).gamma
-        b = random_covariance(1, "mixed", rng=rng).gamma
+        a = random_covariance(2, "mixed", rng=rng)
+        b = random_covariance(1, "mixed", rng=rng)
         cm = BipartiteCM.from_blocks(a, b, np.zeros((4, 2)))
         out = map_step(cm)
         np.testing.assert_allclose(out.A, a, atol=1e-12)
@@ -88,39 +79,51 @@ class TestMapStep:
 
 
 class TestTheoremChecks:
+    """The two one-sided tests that ``decide`` applies to every iterate."""
+
     def test_entangled_fires_on_tmss_image(self):
         verdict = decide(tmss(1.0))
-        report = theorem_checks(verdict.trace.steps[0])
-        assert report.entangled_fired
-        assert not report.separable_fired
-        assert report.margin_A == pytest.approx(-1.0, abs=1e-12)
+        assert verdict.kind is VerdictKind.ENTANGLED
+        assert verdict.reason == REASON_BLOCK_ENTANGLED
+        step = verdict.trace.steps[0]
+        assert step.margin_A == pytest.approx(-1.0, abs=1e-12)
+        assert step.margin_L < step.margin_A
 
     def test_separable_fires_on_vacuum_image(self):
-        verdict = decide(vacuum())
-        report = theorem_checks(verdict.trace.steps[0])
-        assert report.separable_fired
-        assert not report.entangled_fired
-        assert report.margin_L == pytest.approx(0.0, abs=1e-12)
+        # margin_L is exactly 0, so a rule demanding margin_L > 0 would
+        # send the vacuum to UNDECIDED
+        verdict = decide(tmss(0.0))
+        assert verdict.kind is VerdictKind.SEPARABLE
+        assert verdict.reason == REASON_NORM_GAP_SEPARABLE
+        assert verdict.step == 1
+        assert verdict.margin == 0.0
+
+    def test_separable_fires_on_pure_product_image(self):
+        # a pure product state: same exact zero margin as the vacuum
+        verdict = decide(BipartiteCM.from_gamma(np.diag([2.0, 0.5, 1.0, 1.0]), 1, 1))
+        assert verdict.kind is VerdictKind.SEPARABLE
+        assert verdict.step == 1
+        assert verdict.margin == 0.0
 
     def test_neither_fires_in_between(self):
-        # margin_A = 1 but ||C|| = 1.5 pushes margin_L to -0.5: no verdict
+        # margin_A = 1 but ||C|| = 1.5 pushes margin_L to -0.5
         cm = BipartiteCM.from_blocks(2.0 * np.eye(2), 2.0 * np.eye(2), 1.5 * J1)
-        step = engine._make_step(1, cm, engine.DEFAULT_TOL)
-        report = theorem_checks(step)
-        assert not report.entangled_fired
-        assert not report.separable_fired
+        step = engine._make_step(1, cm, DEFAULT_TOL)
+        assert step.margin_A == pytest.approx(1.0, abs=1e-12)
+        assert step.margin_L == pytest.approx(-0.5, abs=1e-12)
+        # iterates 1-3 of this state sit between the tests, inside the
+        # CM cone, so decide goes on to step 4
+        verdict = decide(random_cm(2, 2, "mixed", seed=37))
+        assert verdict.step == 4
+        for step in verdict.trace.steps[:-1]:
+            assert step.margin_A > 0.1 and step.margin_L < -0.01
+            assert step.margin_full > 0.0
 
     def test_margin_identity(self):
         # margin_L is margin_A shifted by the coupling norm, exactly
         verdict = decide(random_cm(2, 1, "mixed", seed=0))
         for step in verdict.trace.steps:
             assert step.margin_L == pytest.approx(step.margin_A - step.c_opnorm, abs=1e-14)
-
-    def test_rejects_step_zero(self):
-        cm = BipartiteCM.from_blocks(np.eye(2), np.eye(2), np.zeros((2, 2)))
-        step = engine._make_step(0, cm, engine.DEFAULT_TOL)
-        with pytest.raises(ValueError, match="N >= 1"):
-            theorem_checks(step)
 
 
 class TestDecide:
@@ -192,7 +195,7 @@ class TestIterationInvariants:
         for _ in range(30):
             cm = random_cm(2, 1, "mixed", rng=rng)
             verdict = decide(cm)
-            norms = [trace_norm(cm.A)] + list(verdict.trace.a_trnorm_history)
+            norms = [trace_norm(cm.A)] + [s.a_trnorm for s in verdict.trace.steps]
             margins = [s.margin_full for s in verdict.trace.steps]
             for i, (prev, cur) in enumerate(zip(norms, norms[1:])):
                 assert cur <= prev + 1e-10
@@ -238,8 +241,8 @@ class TestDecideRobust:
 
     def test_separable_with_slack(self):
         rng = np.random.default_rng(23)
-        gamma_a = random_covariance(1, "mixed", rng=rng).gamma
-        gamma_b = random_covariance(1, "mixed", rng=rng).gamma
+        gamma_a = random_covariance(1, "mixed", rng=rng)
+        gamma_b = random_covariance(1, "mixed", rng=rng)
         eps = 1e-3
         cm = BipartiteCM.from_gamma(block_diag(gamma_a, gamma_b) + 2 * eps * np.eye(4), 1, 1)
         verdict = decide_robust(cm, eps=eps)

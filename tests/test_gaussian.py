@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+import _expm_fixtures
 from gsep.gaussian import (
+    _SQUEEZE_MAX,
     BipartiteCM,
     CMError,
-    CovarianceMatrix,
     _direct_sum,
-    assemble,
     momentum_flip,
     partial_transpose,
     random_cm,
     random_covariance,
     random_separable_cm,
     random_symplectic,
-    split,
     symplectic_form,
     tmss,
     validate_cm,
@@ -105,52 +104,53 @@ class TestValidateCm:
     def test_noise_keeps_validity(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            gamma = random_covariance(2, "mixed", rng=rng).gamma
+            gamma = random_covariance(2, "mixed", rng=rng)
             r = rng.standard_normal((4, 4))
             assert validate_cm(gamma + r @ r.T).is_psd
 
 
 class TestCovarianceMatrix:
     def test_symmetrizes_roundoff(self):
-        gamma = np.eye(2)
-        gamma[0, 1] = 1e-14
-        cov = CovarianceMatrix.from_array(gamma)
-        assert cov.n_modes == 1
-        np.testing.assert_array_equal(cov.gamma, cov.gamma.T)
+        gamma = np.eye(4)
+        gamma[0, 3] = 1e-14
+        cm = BipartiteCM.from_gamma(gamma, 1)
+        np.testing.assert_array_equal(cm.gamma, cm.gamma.T)
+        assert validate_cm(gamma).is_psd
 
     def test_array_is_read_only(self):
-        cov = CovarianceMatrix.from_array(np.eye(2))
+        gamma = random_covariance(1, seed=0)
         with pytest.raises(ValueError):
-            cov.gamma[0, 0] = 2.0
+            gamma[0, 0] = 2.0
 
 
 class TestBipartiteCM:
     def test_split_assemble_round_trip(self):
         rng = np.random.default_rng(5)
-        gamma = random_covariance(3, "mixed", rng=rng).gamma
-        cm = split(gamma, 2, 1)
+        gamma = random_covariance(3, "mixed", rng=rng)
+        cm = BipartiteCM.from_gamma(gamma, 2, 1)
         assert (cm.n, cm.m) == (2, 1)
-        np.testing.assert_allclose(assemble(cm), gamma, atol=1e-14)
+        np.testing.assert_array_equal(cm.gamma, gamma)
 
     def test_split_infers_m(self):
-        cm = split(np.eye(6), 1)
+        cm = BipartiteCM.from_gamma(np.eye(6), 1)
         assert (cm.n, cm.m) == (1, 2)
 
     def test_split_rejects_bad_mode_count(self):
         with pytest.raises(CMError, match="mode split"):
-            split(np.eye(4), 2, 1)
+            BipartiteCM.from_gamma(np.eye(4), 2, 1)
 
     def test_from_blocks_shape_check(self):
         with pytest.raises(CMError, match="incompatible"):
             BipartiteCM.from_blocks(np.eye(2), np.eye(2), np.zeros((2, 4)))
 
     def test_block_validity_of_valid_state(self):
+        # the blocks of a valid state are valid single-party states
         cm = random_cm(2, 1, "mixed", seed=11)
-        assert cm.block_validity() == (True, True)
+        assert validate_cm(cm.A).is_psd and validate_cm(cm.B).is_psd
 
     def test_gamma_property_matches_assemble(self):
         cm = tmss(0.7)
-        np.testing.assert_array_equal(cm.gamma, assemble(cm))
+        np.testing.assert_array_equal(cm.gamma, np.block([[cm.A, cm.C], [cm.C.T, cm.B]]))
 
 
 class TestTmss:
@@ -194,8 +194,8 @@ class TestPartialTranspose:
 
     def test_product_state_stays_valid(self):
         rng = np.random.default_rng(17)
-        a = random_covariance(1, "mixed", rng=rng).gamma
-        b = random_covariance(2, "mixed", rng=rng).gamma
+        a = random_covariance(1, "mixed", rng=rng)
+        b = random_covariance(2, "mixed", rng=rng)
         cm = BipartiteCM.from_blocks(a, b, np.zeros((2, 4)))
         flipped = partial_transpose(cm)
         np.testing.assert_allclose(flipped.A, a, atol=1e-14)
@@ -224,20 +224,27 @@ class TestRandomGenerators:
             residual = np.abs(s @ j @ s.T - j).max()
             assert residual <= 1e-9 * max(1.0, np.abs(s).max() ** 2)
 
+    @pytest.mark.parametrize("n", [1, 8, 32])
+    def test_squeezing_is_bounded_at_any_mode_count(self, n):
+        # a pure state's spectrum is exp(+-2 r_i), so cond <= exp(4 r_max)
+        eigs = np.linalg.eigvalsh(random_covariance(n, "pure", seed=n))
+        bound = np.exp(2.0 * _SQUEEZE_MAX) * (1.0 + 1e-9)
+        assert eigs[-1] <= bound and 1.0 / eigs[0] <= bound
+
     def test_pure_states_have_unit_determinant(self):
         for seed in range(5):
-            gamma = random_covariance(2, "pure", seed=seed).gamma
+            gamma = random_covariance(2, "pure", seed=seed)
             sign, logdet = np.linalg.slogdet(gamma)
             assert sign == 1.0
             assert abs(logdet) < 1e-8
 
     def test_pure_states_are_valid(self):
         for seed in range(5):
-            assert validate_cm(random_covariance(2, "pure", seed=seed).gamma).is_psd
+            assert validate_cm(random_covariance(2, "pure", seed=seed)).is_psd
 
     def test_mixed_states_are_strictly_inside(self):
         for seed in range(5):
-            report = validate_cm(random_covariance(2, "mixed", seed=seed).gamma)
+            report = validate_cm(random_covariance(2, "mixed", seed=seed))
             assert report.is_psd
             assert report.lambda_min > 0.0
 
@@ -249,14 +256,15 @@ class TestRandomGenerators:
         assert np.abs(first.gamma - third.gamma).max() > 1e-6
 
     @pytest.mark.parametrize("make, digest", [
-        (lambda: random_cm(2, 2, seed=5).gamma,
+        (lambda: _expm_fixtures.random_cm(2, 2, seed=5).gamma,
          "2deb5303df92a8a3bdcc8e021974f061b5ae8773e86a2bcda0ec4c1fd692f5c5"),
-        (lambda: random_separable_cm(2, 3, seed=11)[0].gamma,
+        (lambda: _expm_fixtures.random_separable_cm(2, 3, seed=11)[0].gamma,
          "c6f02998ef3ae00b2100c29767c389de60e9035713f2d4f18dd35d4453cae7bf"),
     ])
     def test_seeded_populations_are_pinned_bit_for_bit(self, make, digest):
-        # digests of the float64 bytes; a change here re-seeds every
-        # population the acceptance gates were measured on
+        # digests of the float64 bytes of the test-only expm generators;
+        # a change here re-seeds every population the tests and the
+        # acceptance gates were measured on
         assert hashlib.sha256(make().tobytes()).hexdigest() == digest
 
     def test_rejects_unknown_purity(self):

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from _expm_fixtures import random_cm
 from gsep.certify import CertificateReport, SeparabilityCertificate
-from gsep.gaussian import random_cm, tmss
+from gsep.gaussian import tmss
 from gsep.io import (
     SchemaError,
     dump_certificate,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gsep.engine import VerdictKind, decide
-from gsep.gaussian import InvalidCMError, random_cm, random_separable_cm, tmss
+from _expm_fixtures import random_cm, random_separable_cm
+from gsep.gaussian import InvalidCMError, tmss
 from gsep.io import load_cm
 from gsep.ppt import ppt_check
 
