@@ -33,7 +33,7 @@ from .gaussian import (
     tmss,
 )
 from .io import _canonical, dump_certificate, dump_cm, load_cm
-from .matlin import ToleranceConfig
+from .matlin import DEFAULT_TOL, ToleranceConfig
 
 __all__ = ["main"]
 
@@ -180,12 +180,14 @@ def _build_parser() -> argparse.ArgumentParser:
     output.add_argument("--output", help="write result to this file instead of stdout")
     # tolerances and the iteration limit, for the commands that decide
     common = argparse.ArgumentParser(add_help=False, parents=[output])
-    common.add_argument("--tol-psd", type=float, default=1e-9,
-                        help="relative PSD tolerance (default 1e-9)")
-    common.add_argument("--tol-pinv", type=float, default=1e-12,
-                        help="relative pseudoinverse cutoff (default 1e-12)")
-    common.add_argument("--margin", type=float, default=1e-10,
-                        help="absolute decision band (default 1e-10)")
+    common.add_argument("--tol-psd", type=float, default=DEFAULT_TOL.psd_tol,
+                        help="relative PSD tolerance for inputs and certificates "
+                             "(default %(default)g)")
+    common.add_argument("--tol-pinv", type=float, default=DEFAULT_TOL.pinv_rcond,
+                        help="relative pseudoinverse cutoff (default %(default)g)")
+    common.add_argument("--margin", type=float, default=DEFAULT_TOL.decision_margin,
+                        help="absolute decision band of every termination test "
+                             "(default %(default)g)")
     common.add_argument("--max-iter", type=int, default=200,
                         help="iteration limit (default 200)")
 

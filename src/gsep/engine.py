@@ -16,10 +16,10 @@ to every iterate ``N >= 1``:
 
 If an iterate stops being a valid CM before either test fires, the input
 was entangled as well, and the iteration terminates with that verdict.
-Verdicts are only issued outside a small absolute decision band around
-zero; inputs that keep every margin inside the band come back
-``UNDECIDED``, and :func:`decide_robust` is the documented way to resolve
-them by perturbing with ``+/- eps`` times the identity.
+All three tests judge their margin by one absolute band: it passes when
+``>= -decision_margin`` and fails below.  Inputs on which no test fires
+come back ``UNDECIDED``, and :func:`decide_robust` is the documented way
+to resolve them by perturbing with ``+/- eps`` times the identity.
 """
 
 from __future__ import annotations
@@ -94,9 +94,11 @@ class IterationStep:
     """One iterate ``gamma_N`` together with its decision margins.
 
     ``margin_A`` is ``lambda_min(A_N - iJ)``, ``margin_L`` the same for
-    the shifted block ``A_N - ||C_N||_op I``, and ``margin_full`` for the
-    assembled iterate ``gamma_N - iJ``.  The ``scale_*`` companions are
-    the ``max(1, |lambda|_max)`` factors the relative PSD tests use.
+    the shifted block ``A_N - ||C_N||_op I`` (the shift moves every
+    eigenvalue by exactly ``-c_opnorm``), and ``margin_full`` for the
+    assembled iterate ``gamma_N - iJ``; :func:`decide` compares each
+    with ``-decision_margin``.  ``scale_full`` is ``max(1, |lambda|_max)``
+    of ``gamma_N - iJ``.
 
     ``margin_full`` and ``scale_full`` are not constructor fields: both
     are read from one eigensolve of ``gamma_N - iJ`` that runs on first
@@ -109,10 +111,12 @@ class IterationStep:
     A: np.ndarray
     C: np.ndarray
     margin_A: float
-    margin_L: float
     c_opnorm: float
     a_trnorm: float
-    scale_L: float
+
+    @property
+    def margin_L(self) -> float:
+        return self.margin_A - self.c_opnorm
 
     @cached_property
     def _eigs_full(self) -> np.ndarray:
@@ -148,8 +152,9 @@ class IterationTrace:
 class Verdict:
     """Outcome of :func:`decide`.
 
-    ``margin`` is the eigenvalue margin of whichever test fired; for an
-    UNDECIDED verdict it is the final ``margin_L``, the distance still
+    ``margin`` is the eigenvalue margin of whichever test fired: below
+    ``-decision_margin`` for ENTANGLED, at or above it for SEPARABLE.  For
+    an UNDECIDED verdict it is the final ``margin_L``, the distance still
     missing for a separability verdict.
     """
 
@@ -199,44 +204,31 @@ def map_step(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, validate: bool
 def _make_step(index: int, cm: BipartiteCM, tol: ToleranceConfig) -> IterationStep:
     """Assemble an IterationStep with all margins for iterate ``cm``."""
     j_n = symplectic_form(cm.n)
-    eigs_a = np.linalg.eigvalsh(cm.A - 1j * j_n)
-    margin_a = float(eigs_a[0])
-    c_op = operator_norm(cm.C)
-    # L - iJ = (A - iJ) - c_op I shifts every eigenvalue by exactly -c_op,
-    # so no second eigensolve is needed.
-    margin_l = margin_a - c_op
-    scale_l = max(1.0, float(np.abs(eigs_a - c_op).max()))
     return IterationStep(
         index=index,
         A=cm.A,
         C=cm.C,
-        margin_A=margin_a,
-        margin_L=margin_l,
-        c_opnorm=c_op,
+        margin_A=float(np.linalg.eigvalsh(cm.A - 1j * j_n)[0]),
+        c_opnorm=operator_norm(cm.C),
         a_trnorm=trace_norm(cm.A),
-        scale_L=scale_l,
     )
 
 
 def _left_cone(step: IterationStep, tol: ToleranceConfig) -> bool:
-    """Whether ``gamma_N - iJ`` fails the PSD test, relatively and beyond the band.
+    """Whether ``margin_full`` lies below the band, ``< -decision_margin``.
 
     With ``B_N = A_N`` and antisymmetric ``C_N``, the spectrum of
     ``gamma_N - iJ`` is the union of the spectra of ``A_N - iJ + iC_N``
     and ``A_N - iJ - iC_N``.  Cholesky factorizations of both halves,
-    shifted by ``tau <= max(decision_margin, psd_tol * scale_full)``
-    (``max |diag| <= |lambda|_max``), therefore prove that the test
-    cannot fire; only when one of them fails does the exact eigensolve
-    behind ``margin_full`` run.
+    shifted by ``decision_margin``, therefore prove that the test cannot
+    fire; only when one of them fails does the exact eigensolve behind
+    ``margin_full`` run.
     """
     a, c = step.A, step.C
-    tau = max(tol.decision_margin,
-              tol.psd_tol * max(1.0, float(np.abs(a.diagonal()).max())))
     halves = a - 1j * (symplectic_form(a.shape[0] // 2) - np.stack((c, -c)))
-    if _psd_by_cholesky(halves, tau):
+    if _psd_by_cholesky(halves, tol.decision_margin):
         return False
-    return step.margin_full < -tol.psd_tol * step.scale_full \
-        and step.margin_full < -tol.decision_margin
+    return step.margin_full < -tol.decision_margin
 
 
 def decide(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 200) -> Verdict:
@@ -245,9 +237,9 @@ def decide(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 
     The input must be a valid CM; anything else is rejected as
     not-a-state rather than classified.  Iterates ``N >= 1`` are tested
     in order, and the first test that fires terminates the run: the
-    entangled test (``margin_A`` decisively below zero, beyond the
-    absolute decision band), the separable test (the norm-shifted block
-    passes the relative PSD test), then validity of the full iterate.
+    entangled test (``margin_A < -decision_margin``), the separable test
+    (``margin_L >= -decision_margin``), then the cone test
+    (``margin_full < -decision_margin``).
 
     Returns:
         A Verdict whose trace retains the input and every iterate, which
@@ -272,7 +264,7 @@ def decide(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 
             trace = IterationTrace(cm, tuple(steps), REASON_BLOCK_ENTANGLED)
             return Verdict(VerdictKind.ENTANGLED, index, step.margin_A,
                            REASON_BLOCK_ENTANGLED, trace)
-        if step.margin_L >= -tol.psd_tol * step.scale_L:
+        if step.margin_L >= -tol.decision_margin:
             trace = IterationTrace(cm, tuple(steps), REASON_NORM_GAP_SEPARABLE)
             return Verdict(VerdictKind.SEPARABLE, index, step.margin_L,
                            REASON_NORM_GAP_SEPARABLE, trace)

@@ -42,13 +42,15 @@ class ToleranceConfig:
     """Numerical tolerances used by every positivity decision.
 
     Attributes:
-        psd_tol: Relative eigenvalue tolerance for PSD tests.  A matrix
-            counts as PSD when ``lambda_min >= -psd_tol * scale`` with
+        psd_tol: Relative eigenvalue tolerance for PSD tests of inputs
+            and certificates.  A matrix counts as PSD when
+            ``lambda_min >= -psd_tol * scale`` with
             ``scale = max(1, |lambda|_max)``.
         pinv_rcond: Relative cutoff below which eigenvalues are treated
             as exact zeros when pseudoinverting.
-        decision_margin: Absolute no-decision band around zero used by
-            the termination tests of the decision iteration.
+        decision_margin: Absolute band of the decision iteration.  Each
+            of its three termination tests passes when its margin is
+            ``>= -decision_margin`` and fails below that.
     """
 
     psd_tol: float = 1e-9

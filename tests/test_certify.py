@@ -149,8 +149,7 @@ class TestReconstructFailures:
         # one-step trace with delta_1 = 2 I: A_0 - delta_1 = diag(0, 1) has
         # kernel e_1, on which C_0^T does not vanish
         step = IterationStep(index=1, A=2.0 * np.eye(2), C=np.zeros((2, 2)),
-                             margin_A=1.0, margin_L=1.0, c_opnorm=0.0,
-                             a_trnorm=4.0, scale_L=3.0)
+                             margin_A=1.0, c_opnorm=0.0, a_trnorm=4.0)
         gamma0 = BipartiteCM.from_blocks(np.diag([2.0, 3.0]), 2.0 * np.eye(2),
                                          np.array([[0.5, 0.0], [0.0, 0.0]]))
         trace = IterationTrace(gamma0, (step,), REASON_NORM_GAP_SEPARABLE)

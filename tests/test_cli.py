@@ -15,9 +15,11 @@ import pytest
 
 import gsep
 from _expm_fixtures import random_cm, random_separable_cm
-from gsep.cli import main
+from gsep.cli import _build_parser, _tolerances, main
+from gsep.engine import _shifted
 from gsep.gaussian import BipartiteCM, tmss
 from gsep.io import dump_cm, parse_certificate, parse_cm
+from gsep.matlin import DEFAULT_TOL
 
 EPS_STAR_R1 = 1.0 - np.exp(-2.0)
 FIXTURE = Path(__file__).parent / "fixtures" / "ppt_entangled_2x2.json"
@@ -67,6 +69,10 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["verdict"] == "undecided"
         assert doc["reason"] == "iteration limit reached"
+
+    def test_default_tolerances_are_the_library_defaults(self):
+        args = _build_parser().parse_args(["check", "--input", "state.json"])
+        assert _tolerances(args) == DEFAULT_TOL
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "verdict.json"
@@ -135,6 +141,16 @@ class TestCertify:
             reasons.append(verdict.reason)
         assert len(reasons) == 180
         assert reasons.count(gsep.engine.REASON_CONE_ENTANGLED) == 120
+
+    def test_npt_state_inside_old_slack_gets_a_witness(self, tmp_path, capsys):
+        # transpose-test margin -1e-9: entangled, not a certificate
+        cm = _shifted(tmss(1.0), EPS_STAR_R1 - 1e-9)
+        code, out, _ = run(capsys, "certify", "--input", write_cm(tmp_path, cm))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] == "entangled"
+        assert doc["lambda_min"] < -DEFAULT_TOL.decision_margin
+        assert abs(doc["lambda_min"] - gsep.decide(cm).margin) <= 1e-12
 
     def test_undecided_reports_margin(self, tmp_path, capsys):
         cm = random_cm(2, 2, "mixed", seed=37)

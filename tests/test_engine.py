@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
 from _expm_fixtures import random_cm, random_covariance, random_separable_cm
@@ -21,8 +22,16 @@ from gsep.engine import (
     map_step,
     sweep,
 )
-from gsep.gaussian import BipartiteCM, InvalidCMError, symplectic_form, tmss
+from gsep.gaussian import (
+    BipartiteCM,
+    InvalidCMError,
+    _direct_sum,
+    random_symplectic,
+    symplectic_form,
+    tmss,
+)
 from gsep.matlin import DEFAULT_TOL, psd_check, trace_norm
+from gsep.ppt import ppt_check
 
 J1 = np.array([[0.0, -1.0], [1.0, 0.0]])
 EPS_STAR_R1 = 1.0 - np.exp(-2.0)  # identity-noise threshold of tmss(1.0)
@@ -30,6 +39,16 @@ EPS_STAR_R1 = 1.0 - np.exp(-2.0)  # identity-noise threshold of tmss(1.0)
 
 def vacuum(n=1, m=1):
     return BipartiteCM.from_blocks(np.eye(2 * n), np.eye(2 * m), np.zeros((2 * n, 2 * m)))
+
+
+def noisy_tmss(r, t):
+    """``tmss(r) + (eps* + t) I``, whose transpose-test margin is exactly ``t``."""
+    return engine._shifted(tmss(r), 1.0 - np.exp(-2.0 * r) + t)
+
+
+# transpose-test margins on either side of the threshold, outside the band
+OFF_BAND = st.one_of(
+    st.floats(1e-10, 1e-8), st.floats(-1e-8, -1e-10), st.floats(1e-8, 1e-6))
 
 
 class TestMapStep:
@@ -124,6 +143,49 @@ class TestTheoremChecks:
         verdict = decide(random_cm(2, 1, "mixed", seed=0))
         for step in verdict.trace.steps:
             assert step.margin_L == pytest.approx(step.margin_A - step.c_opnorm, abs=1e-14)
+
+
+class TestDecisionBand:
+    """Every termination test judges its margin by ``-decision_margin``."""
+
+    @pytest.mark.parametrize("offset", [1e-9, 3e-10])
+    def test_npt_state_inside_old_slack_is_entangled(self, offset):
+        # the separable test used to accept margin_L down to -psd_tol * scale,
+        # so these NPT states came back SEPARABLE at step 1
+        cm = noisy_tmss(1.0, -offset)
+        assert ppt_check(cm).margin < 0
+        verdict = decide(cm)
+        assert verdict.kind is VerdictKind.ENTANGLED
+        assert verdict.step == 1
+        assert verdict.margin < -DEFAULT_TOL.decision_margin
+        assert verdict.margin == pytest.approx(-2 * offset, rel=1e-3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(r=st.floats(0.05, 1.5), t=st.floats(-1e-8, -DEFAULT_TOL.decision_margin))
+    def test_npt_tmss_never_separable(self, r, t):
+        # margin_L is about 2t for these states, so the band covers
+        # t in (-decision_margin / 2, 0) by design; no draw goes above
+        # -decision_margin
+        assert decide(noisy_tmss(r, t)).kind is not VerdictKind.SEPARABLE
+
+    @settings(max_examples=150, deadline=None)
+    @given(r=st.floats(0.05, 1.5), t=OFF_BAND, seed=st.integers(0, 2**32 - 1))
+    def test_verdict_invariant_under_local_symplectic_maps(self, r, t, seed):
+        cm = noisy_tmss(r, t)
+        rng = np.random.default_rng(seed)
+        local = _direct_sum(random_symplectic(1, rng), random_symplectic(1, rng))
+        mapped = local @ cm.gamma @ local.T
+        mapped = BipartiteCM.from_gamma((mapped + mapped.T) / 2.0, 1, 1)
+        expected = VerdictKind.ENTANGLED if t < 0 else VerdictKind.SEPARABLE
+        assert decide(cm).kind is expected
+        assert decide(mapped).kind is expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(r=st.floats(0.05, 1.5), t=OFF_BAND)
+    def test_verdict_invariant_under_party_swap(self, r, t):
+        cm = noisy_tmss(r, t)
+        swapped = BipartiteCM.from_blocks(cm.B, cm.A, cm.C.T)
+        assert decide(swapped).kind is decide(cm).kind
 
 
 class TestDecide:
@@ -335,10 +397,12 @@ class TestFindThreshold:
         assert find_threshold(vacuum()) == 0.0
 
     def test_tmss_identity_threshold(self):
-        # the exact value is 1 - exp(-2r); default tolerances locate it
-        # to a few parts in 1e9
-        threshold = find_threshold(tmss(1.0))
-        assert threshold == pytest.approx(EPS_STAR_R1, abs=5e-9)
+        # the exact value is 1 - exp(-2r); margin_L is about twice the
+        # transpose-test margin, so the separable test fires from
+        # decision_margin / 2 below it
+        for r in (0.05, 0.5, 1.0, 2.0):
+            threshold = find_threshold(tmss(r))
+            assert abs(threshold - (1.0 - np.exp(-2.0 * r))) <= DEFAULT_TOL.decision_margin, r
 
     def test_bisection_keeps_bracket_invariant(self):
         cm = tmss(1.0)
