@@ -16,27 +16,26 @@ the asymmetric form against the original blocks gives
 and ``P = gamma_0 - gamma_A oplus gamma_B`` is PSD.  The triple
 ``(gamma_A, gamma_B, P)`` is the certificate: two single-party CMs plus
 PSD noise whose sum reproduces the input exactly, which any third party
-can verify with three eigensolves and no knowledge of the iteration.
+can verify with three PSD tests and no knowledge of the iteration.
 
-The CM checks on the intermediate blocks are pass/fail, so each is
-settled by a Cholesky factorization of the block minus ``iJ``, shifted
-by the tolerance; the eigensolve of :func:`~gsep.matlin.psd_check` runs
-only when that factorization fails, and it alone decides and reports
-the margin.  :func:`verify_certificate` keeps its three eigensolves,
-since it reports all three margins.
+Every check here, on the intermediate blocks and in
+:func:`verify_certificate`, goes through :func:`~gsep.matlin.psd_check`,
+which settles it with a shifted Cholesky factorization and diagonalizes
+only when that factorization fails.  The margins are solved when they
+are first read: in an error message, or from
+:attr:`CertificateReport.margins`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .engine import REASON_NORM_GAP_SEPARABLE, IterationTrace
 from .gaussian import BipartiteCM, _direct_sum, symplectic_form
-from .matlin import (DEFAULT_TOL, ToleranceConfig, _eigh_pinv, _kernel_range,
-                     _psd_by_cholesky, psd_check)
+from .matlin import (DEFAULT_TOL, PsdReport, ToleranceConfig, _eigh_pinv, _kernel_range,
+                     psd_check)
 
 __all__ = [
     "CertificateError",
@@ -60,24 +59,38 @@ class SeparabilityCertificate:
     P: np.ndarray
 
 
-class CertificateReport(NamedTuple):
-    valid: bool
-    margins: tuple[float, float, float]
+class CertificateReport:
+    """Outcome of :func:`verify_certificate`.
+
+    ``valid`` is settled when the report is made.  ``margins`` are the
+    smallest eigenvalues of ``gamma_A - iJ``, ``gamma_B - iJ`` and
+    ``P``; :func:`verify_certificate` leaves them to the three
+    :class:`~gsep.matlin.PsdReport` objects it passes as ``checks``, so
+    they are solved on first read.
+    """
+
+    __slots__ = ("valid", "_margins", "_checks")
+
+    def __init__(self, valid: bool, margins: tuple[float, float, float] | None = None,
+                 checks: tuple[PsdReport, PsdReport, PsdReport] = ()):
+        self.valid = valid
+        self._margins = margins
+        self._checks = checks
+
+    @property
+    def margins(self) -> tuple[float, float, float]:
+        if self._margins is None:
+            self._margins = tuple(check.lambda_min for check in self._checks)
+        return self._margins
+
+    def __repr__(self) -> str:
+        return f"CertificateReport(valid={self.valid}, margins={self.margins!r})"
 
 
 def _cm_margin(mat: np.ndarray, tol: ToleranceConfig, what: str, step: int) -> np.ndarray:
-    """Check ``mat - iJ >= 0`` within tolerance; return the symmetrized matrix.
-
-    A Cholesky gate with ``tau = psd_tol * max(1, max |diag|)`` settles
-    the check; since ``max |diag| <= |lambda|_max`` its success implies
-    the eigenvalue test passes.  Only a failed gate pays for
-    :func:`psd_check`, which decides and supplies the reported margin.
-    """
+    """Check ``mat - iJ >= 0`` within tolerance; return the symmetrized matrix."""
     sym = (mat + mat.T) / 2.0
-    herm = sym - 1j * symplectic_form(sym.shape[0] // 2)
-    if _psd_by_cholesky(herm, tol.psd_tol * max(1.0, float(np.abs(sym.diagonal()).max()))):
-        return sym
-    report = psd_check(herm, tol)
+    report = psd_check(sym - 1j * symplectic_form(sym.shape[0] // 2), tol)
     if not report.is_psd:
         raise CertificateError(
             f"{what} at step {step} fails the CM test "
@@ -145,10 +158,12 @@ def verify_certificate(cm: BipartiteCM, certificate: SeparabilityCertificate,
                        tol: ToleranceConfig = DEFAULT_TOL) -> CertificateReport:
     """Independently verify a certificate against the original state.
 
-    Three eigensolves: ``gamma_A`` and ``gamma_B`` must be valid CMs of
+    Three PSD tests: ``gamma_A`` and ``gamma_B`` must be valid CMs of
     the two subsystems and ``P = gamma - gamma_A oplus gamma_B`` must be
-    PSD.  Returns the three margins; ``valid`` is their conjunction
-    under the usual relative tolerance.
+    PSD.  Each is settled by a shifted Cholesky factorization, with an
+    eigensolve only when one fails, and ``valid`` is their conjunction
+    under the usual relative tolerance.  The three margins are solved
+    when ``margins`` is first read.
     """
     gamma_a = np.asarray(certificate.gamma_A, dtype=float)
     gamma_b = np.asarray(certificate.gamma_B, dtype=float)
@@ -161,4 +176,4 @@ def verify_certificate(cm: BipartiteCM, certificate: SeparabilityCertificate,
     rep_b = psd_check(gamma_b - 1j * symplectic_form(cm.m), tol)
     rep_p = psd_check(cm.gamma - _direct_sum(gamma_a, gamma_b), tol)
     valid = rep_a.is_psd and rep_b.is_psd and rep_p.is_psd
-    return CertificateReport(valid, (rep_a.lambda_min, rep_b.lambda_min, rep_p.lambda_min))
+    return CertificateReport(valid, checks=(rep_a, rep_b, rep_p))

@@ -201,7 +201,7 @@ def map_step(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, validate: bool
     return BipartiteCM.from_blocks(a_next, a_next, c_next)
 
 
-def _make_step(index: int, cm: BipartiteCM, tol: ToleranceConfig) -> IterationStep:
+def _make_step(index: int, cm: BipartiteCM) -> IterationStep:
     """Assemble an IterationStep with all margins for iterate ``cm``."""
     j_n = symplectic_form(cm.n)
     return IterationStep(
@@ -258,7 +258,7 @@ def decide(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 
     current = cm
     for index in range(1, max_iter + 1):
         current = map_step(current, tol, validate=False)
-        step = _make_step(index, current, tol)
+        step = _make_step(index, current)
         steps.append(step)
         if step.margin_A < -tol.decision_margin:
             trace = IterationTrace(cm, tuple(steps), REASON_BLOCK_ENTANGLED)

@@ -5,7 +5,10 @@ symmetrized on ingest, so callers may hand in matrices carrying
 roundoff-level asymmetry without tripping spurious failures.  Positivity
 is always judged relative to the matrix scale: the PSD test passes when
 the smallest eigenvalue stays above ``-psd_tol * max(1, largest
-|eigenvalue|)``.  One kernel rule serves the decision map, certificate
+|eigenvalue|)``.  :func:`psd_check` settles that test with a shifted
+Cholesky factorization first and diagonalizes only when the
+factorization fails; a report whose gate passed solves ``lambda_min`` on
+first read.  One kernel rule serves the decision map, certificate
 reconstruction and :func:`schur_psd`: eigenvalues at or below ``pinv_rcond
 * max(lambda_max, 0)``, tolerance-level negatives included, are zeroed.
 """
@@ -69,9 +72,32 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-class PsdReport(NamedTuple):
-    is_psd: bool
-    lambda_min: float
+class PsdReport:
+    """Outcome of :func:`psd_check`: the verdict and the smallest eigenvalue.
+
+    ``is_psd`` is settled when the report is made.  ``lambda_min`` is
+    the smallest eigenvalue of the symmetrized matrix; when the Cholesky
+    gate settled the verdict no eigensolve has run yet, so the first
+    read runs it and caches the value.
+    """
+
+    __slots__ = ("is_psd", "_herm", "_lambda_min")
+
+    def __init__(self, is_psd: bool, herm: np.ndarray | None = None,
+                 lambda_min: float | None = None):
+        self.is_psd = is_psd
+        self._herm = herm
+        self._lambda_min = lambda_min
+
+    @property
+    def lambda_min(self) -> float:
+        if self._lambda_min is None:
+            self._lambda_min = float(np.linalg.eigvalsh(self._herm)[0])
+            self._herm = None
+        return self._lambda_min
+
+    def __repr__(self) -> str:
+        return f"PsdReport(is_psd={self.is_psd}, lambda_min={self.lambda_min!r})"
 
 
 class SchurReport(NamedTuple):
@@ -87,7 +113,7 @@ def _as_matrix(mat, name: str = "matrix") -> np.ndarray:
         raise MatrixInputError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise MatrixInputError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise MatrixInputError(f"{name} contains non-finite entries")
     dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
     return arr.astype(dtype, copy=False)
@@ -109,17 +135,26 @@ def hermitian_part(mat) -> np.ndarray:
 def psd_check(mat, tol: ToleranceConfig = DEFAULT_TOL) -> PsdReport:
     """Test a Hermitian matrix for positive semidefiniteness.
 
-    The input is symmetrized before the eigensolve, so tiny asymmetry is
-    harmless.  The verdict is relative to the spectral scale: the test
-    passes when ``lambda_min >= -psd_tol * max(1, |lambda|_max)``.
+    The input is symmetrized first, so tiny asymmetry is harmless.  The
+    verdict is relative to the spectral scale: the test passes when
+    ``lambda_min >= -psd_tol * max(1, |lambda|_max)``.  A Cholesky gate
+    shifted by ``psd_tol * max(1, max |diag|)`` runs first; since
+    ``max |diag| <= |lambda|_max`` that shift never exceeds the
+    eigenvalue test's own, so its success passes the test with no
+    eigensolve.  Only a failed gate diagonalizes, and that eigensolve
+    decides.
 
     Returns:
-        PsdReport with the boolean verdict and the smallest eigenvalue.
+        PsdReport with the boolean verdict and the smallest eigenvalue,
+        which is solved on first read when the gate settled the verdict.
     """
-    eigs = np.linalg.eigvalsh(hermitian_part(mat))
+    herm = hermitian_part(mat)
+    if _psd_by_cholesky(herm, tol.psd_tol * max(1.0, float(np.abs(herm.diagonal()).max()))):
+        return PsdReport(True, herm)
+    eigs = np.linalg.eigvalsh(herm)
     lambda_min = float(eigs[0])
     scale = max(1.0, float(np.abs(eigs).max()))
-    return PsdReport(lambda_min >= -tol.psd_tol * scale, lambda_min)
+    return PsdReport(lambda_min >= -tol.psd_tol * scale, lambda_min=lambda_min)
 
 
 def _psd_by_cholesky(herm: np.ndarray, tau: float) -> bool:
@@ -132,7 +167,8 @@ def _psd_by_cholesky(herm: np.ndarray, tau: float) -> bool:
     stack of shape ``(k, d, d)`` passes only if every matrix in it does,
     at the call overhead of one factorization.
     """
-    shifted = herm + tau * np.eye(herm.shape[-1])
+    shifted = herm.copy()
+    np.einsum("...ii->...i", shifted)[...] += tau  # writable view of the diagonals
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -229,8 +265,8 @@ def hermitian_reduce_psd(sym, antisym, tol: ToleranceConfig = DEFAULT_TOL) -> bo
     """PSD test for ``[[A, C], [C^T, A]]`` with A symmetric, C antisymmetric.
 
     For real A = A^T and C = -C^T the doubled block matrix is PSD exactly
-    when the Hermitian matrix ``A + iC`` is PSD, so a single eigensolve
-    at half the dimension decides it.
+    when the Hermitian matrix ``A + iC`` is PSD, so a single
+    :func:`psd_check` at half the dimension decides it.
 
     Raises:
         MatrixInputError: if the symmetry residual of ``sym`` or the

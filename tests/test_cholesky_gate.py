@@ -1,23 +1,25 @@
 """The Cholesky gate that settles pass/fail PSD tests before any eigensolve.
 
 ``matlin._psd_by_cholesky`` proves ``lambda_min > -tau`` when a shifted
-Cholesky factorization succeeds.  ``decide``'s cone test and
-``certify``'s CM checks use it and fall back to the exact eigensolve
-when it fails, so forcing every gate to fail must reproduce the same
-verdicts, margins, certificates and error messages bit for bit.
+Cholesky factorization succeeds.  ``psd_check`` (and with it
+``validate_cm``, certify's CM checks and ``verify_certificate``) and
+``decide``'s cone test use it and fall back to the exact eigensolve when
+it fails, so forcing every gate to fail must reproduce the same
+verdicts, margins, certificates, certificate reports and error messages
+bit for bit.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import gsep.certify as certify
 import gsep.engine as engine
+import gsep.matlin as matlin
 from _expm_fixtures import random_cm, random_separable_cm
-from gsep.certify import CertificateError, reconstruct
+from gsep.certify import CertificateError, reconstruct, verify_certificate
 from gsep.engine import VerdictKind, decide
-from gsep.gaussian import BipartiteCM, symplectic_form, tmss
-from gsep.matlin import DEFAULT_TOL, _psd_by_cholesky, psd_check
+from gsep.gaussian import BipartiteCM, InvalidCMError, symplectic_form, tmss, validate_cm
+from gsep.matlin import DEFAULT_TOL, _psd_by_cholesky, hermitian_part, psd_check
 
 EPS_STAR_R1 = 1.0 - np.exp(-2.0)  # identity-noise threshold of tmss(1.0)
 
@@ -42,7 +44,9 @@ def fingerprint(cm):
     if verdict.kind is VerdictKind.SEPARABLE:
         try:
             cert = reconstruct(verdict.trace)
-            evidence = (cert.gamma_A.tobytes(), cert.gamma_B.tobytes(), cert.P.tobytes())
+            report = verify_certificate(cm, cert)
+            evidence = (cert.gamma_A.tobytes(), cert.gamma_B.tobytes(), cert.P.tobytes(),
+                        report.valid, report.margins)
         except CertificateError as exc:
             evidence = str(exc)
     return (verdict.kind, verdict.step, verdict.margin, verdict.reason, steps, evidence)
@@ -57,10 +61,10 @@ def test_gated_runs_equal_the_exact_path(monkeypatch):
         return passes[-1]
 
     monkeypatch.setattr(engine, "_psd_by_cholesky", counting_gate)
-    monkeypatch.setattr(certify, "_psd_by_cholesky", counting_gate)
+    monkeypatch.setattr(matlin, "_psd_by_cholesky", counting_gate)
     gated = [fingerprint(cm) for cm in states]
     monkeypatch.setattr(engine, "_psd_by_cholesky", lambda herm, tau: False)
-    monkeypatch.setattr(certify, "_psd_by_cholesky", lambda herm, tau: False)
+    monkeypatch.setattr(matlin, "_psd_by_cholesky", lambda herm, tau: False)
     exact = [fingerprint(cm) for cm in states]
 
     assert sum(passes) > 1000  # the gate really settled most checks
@@ -76,14 +80,7 @@ def test_gated_runs_equal_the_exact_path(monkeypatch):
                                 random_cm(2, 1, "mixed", seed=0)],
                          ids=["planted-one-step", "mixed-three-steps"])
 def test_separable_run_skips_the_full_iterate_eigensolve(cm, monkeypatch):
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def recording(mat, *args, **kwargs):
-        shapes.append(np.shape(mat))
-        return eigvalsh(mat, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    shapes = _recording_eigvalsh(monkeypatch)
     verdict = decide(cm)
     monkeypatch.undo()
     assert verdict.kind is VerdictKind.SEPARABLE
@@ -133,4 +130,73 @@ def test_gate_pass_implies_psd_check(case):
     passed = _psd_by_cholesky(herm, tau)
     assert passed == (offset < 0)
     if passed:
-        assert psd_check(herm).is_psd
+        eigs = np.linalg.eigvalsh(herm)
+        assert eigs[0] >= -DEFAULT_TOL.psd_tol * max(1.0, float(np.abs(eigs).max()))
+
+
+def _recording_eigvalsh(monkeypatch):
+    """Patch ``np.linalg.eigvalsh`` to record the shape of every input."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(mat, *args, **kwargs):
+        shapes.append(np.shape(mat))
+        return eigvalsh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("mat", [
+    np.diag([3.0, 1.0, 2.0]),                      # gate passes
+    np.array([[2.0, 1.0 + 1e-13], [1.0, 1.0]]),    # gate passes, asymmetric input
+    tmss(0.7).gamma - 1j * symplectic_form(2),     # gate passes, complex
+    np.diag([1.0, -1e-12]),                        # gate passes, PSD within tolerance
+    np.diag([1.0, -1e-7]),                         # gate fails, not PSD
+    0.5 * np.eye(2) - 1j * symplectic_form(1),     # gate fails, not PSD
+], ids=["diag", "asymmetric", "tmss", "tolerance-negative", "negative", "invalid-cm"])
+def test_lambda_min_equals_the_eigensolve(mat, monkeypatch):
+    shapes = _recording_eigvalsh(monkeypatch)
+    report = psd_check(mat)
+    solved_at_check = len(shapes)
+    got = report.lambda_min
+    monkeypatch.undo()
+    assert solved_at_check == (0 if report.is_psd else 1)
+    assert got == float(np.linalg.eigvalsh(hermitian_part(mat))[0])
+    assert report.lambda_min == got  # cached, not solved again
+
+
+def test_decide_skips_the_input_sized_eigensolve(monkeypatch):
+    cm = random_cm(2, 1, "mixed", seed=0)
+    shapes = _recording_eigvalsh(monkeypatch)
+    decide(cm)
+    monkeypatch.undo()
+    assert shapes and (6, 6) not in shapes
+
+
+def test_verify_certificate_solves_margins_on_first_read(monkeypatch):
+    cm = random_separable_cm(2, 1, seed=4)[0]
+    cert = reconstruct(decide(cm).trace)
+    shapes = _recording_eigvalsh(monkeypatch)
+    report = verify_certificate(cm, cert)
+    assert report.valid
+    assert shapes == []
+    margins = report.margins
+    monkeypatch.undo()
+    assert shapes == [(4, 4), (2, 2), (6, 6)]
+    gamma_a, gamma_b = cert.gamma_A, cert.gamma_B
+    want = (
+        np.linalg.eigvalsh(hermitian_part(gamma_a - 1j * symplectic_form(2)))[0],
+        np.linalg.eigvalsh(hermitian_part(gamma_b - 1j * symplectic_form(1)))[0],
+        np.linalg.eigvalsh(hermitian_part(cm.gamma - np.block(
+            [[gamma_a, np.zeros((4, 2))], [np.zeros((2, 4)), gamma_b]])))[0],
+    )
+    assert margins == tuple(float(x) for x in want)
+
+
+def test_invalid_input_message_carries_the_margin():
+    gamma = tmss(1.0).gamma - 0.1 * np.eye(4)
+    margin = float(np.linalg.eigvalsh(gamma - 1j * symplectic_form(2))[0])
+    assert validate_cm(gamma).lambda_min == margin
+    with pytest.raises(InvalidCMError, match=f"margin {margin:.3e}"):
+        decide(BipartiteCM.from_gamma(gamma, 1, 1))

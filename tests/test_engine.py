@@ -127,7 +127,7 @@ class TestTheoremChecks:
     def test_neither_fires_in_between(self):
         # margin_A = 1 but ||C|| = 1.5 pushes margin_L to -0.5
         cm = BipartiteCM.from_blocks(2.0 * np.eye(2), 2.0 * np.eye(2), 1.5 * J1)
-        step = engine._make_step(1, cm, DEFAULT_TOL)
+        step = engine._make_step(1, cm)
         assert step.margin_A == pytest.approx(1.0, abs=1e-12)
         assert step.margin_L == pytest.approx(-0.5, abs=1e-12)
         # iterates 1-3 of this state sit between the tests, inside the
@@ -139,10 +139,15 @@ class TestTheoremChecks:
             assert step.margin_full > 0.0
 
     def test_margin_identity(self):
-        # margin_L is margin_A shifted by the coupling norm, exactly
+        # margin_L is the smallest eigenvalue of the norm-shifted block
+        # A - ||C||_op I - iJ, checked against an eigensolve of that block
         verdict = decide(random_cm(2, 1, "mixed", seed=0))
         for step in verdict.trace.steps:
-            assert step.margin_L == pytest.approx(step.margin_A - step.c_opnorm, abs=1e-14)
+            d = step.A.shape[0]
+            shifted = step.A - step.c_opnorm * np.eye(d) - 1j * symplectic_form(d // 2)
+            eigs = np.linalg.eigvalsh(shifted)
+            scale = max(1.0, float(np.abs(eigs).max()))
+            assert abs(step.margin_L - eigs[0]) <= 1e-12 * scale
 
 
 class TestDecisionBand:
