@@ -22,7 +22,7 @@ from gsep import decide, load_cm, ppt_check, random_cm
 rng = np.random.default_rng(1)
 agree = total = 0
 for _ in range(200):
-    cm = random_cm(1, 1, "mixed", rng=rng)
+    cm = random_cm(1, 1, "mixed", seed=rng)
     report = ppt_check(cm)
     if abs(report.margin) <= 1e-8:
         continue

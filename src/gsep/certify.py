@@ -35,7 +35,7 @@ import numpy as np
 from .engine import REASON_NORM_GAP_SEPARABLE, IterationTrace
 from .gaussian import BipartiteCM, _direct_sum, symplectic_form
 from .matlin import (DEFAULT_TOL, PsdReport, ToleranceConfig, _eigh_pinv, _kernel_range,
-                     psd_check)
+                     _psd_rule, psd_check)
 
 __all__ = [
     "CertificateError",
@@ -105,8 +105,7 @@ def _shur_against(a_block: np.ndarray, c_block: np.ndarray, delta: np.ndarray,
     gap = (a_block - delta)
     gap = (gap + gap.T) / 2.0
     eigs, vecs, kernel, gap_pinv = _eigh_pinv(gap, tol)
-    scale = max(1.0, float(np.abs(eigs).max()))
-    if float(eigs[0]) < -tol.psd_tol * scale:
+    if not _psd_rule(eigs, tol):
         raise CertificateError(
             f"A - delta at step {step} is not PSD (margin {eigs[0]:.3e}); "
             "backward recursion cannot continue"

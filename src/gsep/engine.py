@@ -20,6 +20,10 @@ All three tests judge their margin by one absolute band: it passes when
 ``>= -decision_margin`` and fails below.  Inputs on which no test fires
 come back ``UNDECIDED``, and :func:`decide_robust` is the documented way
 to resolve them by perturbing with ``+/- eps`` times the identity.
+
+An input that fails the CM test is not a state: :func:`decide` and
+:func:`map_step` refuse it with :class:`~gsep.gaussian.InvalidCMError`,
+whose message quotes the failing margin.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import BipartiteCM, InvalidCMError, symplectic_form, validate_cm
+from .gaussian import BipartiteCM, InvalidCMError, _require_cm, symplectic_form
 from .matlin import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -47,7 +51,6 @@ __all__ = [
     "EngineError",
     "IterationStep",
     "IterationTrace",
-    "MapPreconditionError",
     "NumericalError",
     "SweepPoint",
     "Verdict",
@@ -62,10 +65,6 @@ __all__ = [
 
 class EngineError(RuntimeError):
     """Base class for failures inside the decision iteration."""
-
-
-class MapPreconditionError(EngineError):
-    """The map was applied to a matrix that is not a valid CM."""
 
 
 class NumericalError(EngineError):
@@ -177,19 +176,17 @@ def map_step(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, validate: bool
     Args:
         cm: The current state in block form.
         tol: Tolerances for validation and the pseudoinverse cutoff.
-        validate: When true (the default), reject inputs that fail the
-            CM test; the map's contract only covers valid states.
+        validate: When true (the default), refuse inputs that fail the
+            CM test with :class:`~gsep.gaussian.InvalidCMError`, as
+            :func:`decide` does; the map's contract only covers valid
+            states.
 
     Returns:
         The next iterate, a square bipartite CM on ``n + n`` modes with
         symmetric ``A' = B'`` and antisymmetric ``C'``.
     """
     if validate:
-        report = validate_cm(cm, tol)
-        if not report.is_psd:
-            raise MapPreconditionError(
-                f"input is not a valid CM (margin {report.lambda_min:.3e})"
-            )
+        _require_cm(cm, tol)
     j_m = symplectic_form(cm.m)
     x = cm.C @ pseudoinverse(cm.B - 1j * j_m, tol) @ cm.C.T
     if not np.all(np.isfinite(x)):
@@ -234,12 +231,14 @@ def _left_cone(step: IterationStep, tol: ToleranceConfig) -> bool:
 def decide(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 200) -> Verdict:
     """Decide separability of a bipartite Gaussian state.
 
-    The input must be a valid CM; anything else is rejected as
-    not-a-state rather than classified.  Iterates ``N >= 1`` are tested
-    in order, and the first test that fires terminates the run: the
-    entangled test (``margin_A < -decision_margin``), the separable test
-    (``margin_L >= -decision_margin``), then the cone test
-    (``margin_full < -decision_margin``).
+    The input must be a valid CM; anything else raises
+    :class:`~gsep.gaussian.InvalidCMError` instead of being classified.
+    Iterates ``N >= 1`` are tested in order, and the first test that
+    fires terminates the run: the entangled test (``margin_A <
+    -decision_margin``), the separable test (``margin_L >=
+    -decision_margin``), then the cone test (``margin_full <
+    -decision_margin``).  The test that fires, or the iteration limit,
+    picks the verdict's kind, margin and reason.
 
     Returns:
         A Verdict whose trace retains the input and every iterate, which
@@ -247,12 +246,7 @@ def decide(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    report = validate_cm(cm, tol)
-    if not report.is_psd:
-        raise InvalidCMError(
-            f"input fails the CM test (margin {report.lambda_min:.3e}); "
-            "not a state, refusing to classify"
-        )
+    _require_cm(cm, tol)
 
     steps: list[IterationStep] = []
     current = cm
@@ -261,21 +255,18 @@ def decide(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 
         step = _make_step(index, current)
         steps.append(step)
         if step.margin_A < -tol.decision_margin:
-            trace = IterationTrace(cm, tuple(steps), REASON_BLOCK_ENTANGLED)
-            return Verdict(VerdictKind.ENTANGLED, index, step.margin_A,
-                           REASON_BLOCK_ENTANGLED, trace)
-        if step.margin_L >= -tol.decision_margin:
-            trace = IterationTrace(cm, tuple(steps), REASON_NORM_GAP_SEPARABLE)
-            return Verdict(VerdictKind.SEPARABLE, index, step.margin_L,
-                           REASON_NORM_GAP_SEPARABLE, trace)
-        if _left_cone(step, tol):
+            kind, margin, reason = VerdictKind.ENTANGLED, step.margin_A, REASON_BLOCK_ENTANGLED
+        elif step.margin_L >= -tol.decision_margin:
+            kind, margin, reason = VerdictKind.SEPARABLE, step.margin_L, REASON_NORM_GAP_SEPARABLE
+        elif _left_cone(step, tol):
             # the iterate itself stopped being a CM: entangled input
-            trace = IterationTrace(cm, tuple(steps), REASON_CONE_ENTANGLED)
-            return Verdict(VerdictKind.ENTANGLED, index, step.margin_full,
-                           REASON_CONE_ENTANGLED, trace)
-    trace = IterationTrace(cm, tuple(steps), REASON_MAX_ITER)
-    return Verdict(VerdictKind.UNDECIDED, max_iter, steps[-1].margin_L,
-                   REASON_MAX_ITER, trace)
+            kind, margin, reason = VerdictKind.ENTANGLED, step.margin_full, REASON_CONE_ENTANGLED
+        else:
+            continue
+        break
+    else:
+        kind, margin, reason = VerdictKind.UNDECIDED, step.margin_L, REASON_MAX_ITER
+    return Verdict(kind, index, margin, reason, IterationTrace(cm, tuple(steps), reason))
 
 
 def _shifted(cm: BipartiteCM, eps: float, perturbation: np.ndarray | None = None) -> BipartiteCM:

@@ -152,6 +152,16 @@ def validate_cm(gamma, tol: ToleranceConfig = DEFAULT_TOL) -> PsdReport:
     return psd_check(arr - 1j * j, tol)
 
 
+def _require_cm(cm, tol: ToleranceConfig) -> None:
+    """Raise :class:`InvalidCMError` unless ``cm`` passes :func:`validate_cm`."""
+    report = validate_cm(cm, tol)
+    if not report.is_psd:
+        raise InvalidCMError(
+            f"input fails the CM test (margin {report.lambda_min:.3e}); "
+            "not a state, refusing to classify"
+        )
+
+
 def tmss(r: float) -> BipartiteCM:
     """Two-mode squeezed state with squeezing parameter ``r >= 0``.
 
@@ -209,28 +219,22 @@ def random_symplectic(n_modes: int, rng: np.random.Generator) -> np.ndarray:
     return (_passive(n_modes, rng) * squeeze) @ _passive(n_modes, rng)
 
 
-def _resolve_rng(seed, rng):
-    if rng is not None:
-        return rng
-    return np.random.default_rng(seed)
-
-
 def random_covariance(
     n_modes: int,
     purity: str = "mixed",
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
+    seed: int | np.random.Generator | None = None,
 ) -> np.ndarray:
     """Random valid correlation matrix on ``n_modes`` modes, read-only.
 
     ``purity="pure"`` returns ``S S^T`` for a random symplectic ``S``
     (determinant one, saturating the validity bound).  ``purity="mixed"``
     adds PSD noise ``R R^T``, pushing the state strictly inside the
-    valid cone.  Identical seeds give bit-identical output.
+    valid cone.  ``seed`` is an int, ``None``, or a Generator that the
+    draws advance; identical int seeds give bit-identical output.
     """
     if purity not in ("pure", "mixed"):
         raise ValueError(f"purity must be 'pure' or 'mixed', got {purity!r}")
-    gen = _resolve_rng(seed, rng)
+    gen = np.random.default_rng(seed)
     s = random_symplectic(n_modes, gen)
     gamma = s @ s.T
     if purity == "mixed":
@@ -243,30 +247,29 @@ def random_cm(
     n: int,
     m: int,
     purity: str = "mixed",
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
+    seed: int | np.random.Generator | None = None,
 ) -> BipartiteCM:
     """Random valid bipartite correlation matrix on ``n + m`` modes."""
-    gamma = random_covariance(n + m, purity=purity, seed=seed, rng=rng)
+    gamma = random_covariance(n + m, purity=purity, seed=seed)
     return BipartiteCM.from_gamma(gamma, n, m)
 
 
 def random_separable_cm(
     n: int,
     m: int,
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
+    seed: int | np.random.Generator | None = None,
 ) -> tuple[BipartiteCM, np.ndarray, np.ndarray]:
     """Random separable bipartite CM, built as ``gamma_A oplus gamma_B + P``.
 
     The blocks are independent mixed-state CMs and ``P = R R^T`` is PSD
     noise across the full system, so separability holds by construction.
-    Returns the assembled state together with the planted ``gamma_A``
-    and ``gamma_B`` for use as ground truth in tests.
+    ``seed`` is read as by :func:`random_covariance`.  Returns the
+    assembled state together with the planted ``gamma_A`` and
+    ``gamma_B`` for use as ground truth in tests.
     """
-    gen = _resolve_rng(seed, rng)
-    gamma_a = random_covariance(n, "mixed", rng=gen)
-    gamma_b = random_covariance(m, "mixed", rng=gen)
+    gen = np.random.default_rng(seed)
+    gamma_a = random_covariance(n, "mixed", seed=gen)
+    gamma_b = random_covariance(m, "mixed", seed=gen)
     d = 2 * (n + m)
     r = gen.standard_normal((d, d)) / np.sqrt(d)
     gamma = _direct_sum(gamma_a, gamma_b) + r @ r.T

@@ -152,9 +152,12 @@ def psd_check(mat, tol: ToleranceConfig = DEFAULT_TOL) -> PsdReport:
     if _psd_by_cholesky(herm, tol.psd_tol * max(1.0, float(np.abs(herm.diagonal()).max()))):
         return PsdReport(True, herm)
     eigs = np.linalg.eigvalsh(herm)
-    lambda_min = float(eigs[0])
-    scale = max(1.0, float(np.abs(eigs).max()))
-    return PsdReport(lambda_min >= -tol.psd_tol * scale, lambda_min=lambda_min)
+    return PsdReport(_psd_rule(eigs, tol), lambda_min=float(eigs[0]))
+
+
+def _psd_rule(eigs: np.ndarray, tol: ToleranceConfig) -> bool:
+    """The PSD test on an ascending spectrum: ``lambda_min >= -psd_tol * max(1, |lambda|_max)``."""
+    return float(eigs[0]) >= -tol.psd_tol * max(1.0, float(np.abs(eigs).max()))
 
 
 def _psd_by_cholesky(herm: np.ndarray, tau: float) -> bool:
@@ -256,7 +259,7 @@ def schur_psd(block_a, block_b, block_c, tol: ToleranceConfig = DEFAULT_TOL) -> 
 
     eigs, vecs, kernel, b_pinv = _eigh_pinv(b, tol)
     kernel_ok = _kernel_range(c, vecs, kernel, tol)[0]
-    b_psd = float(eigs[0]) >= -tol.psd_tol * max(1.0, float(np.abs(eigs).max()))
+    b_psd = _psd_rule(eigs, tol)
     complement_psd = psd_check(a - c @ b_pinv @ c.T, tol).is_psd
     return SchurReport(bool(b_psd and kernel_ok and complement_psd), kernel_ok)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .gaussian import BipartiteCM, InvalidCMError, partial_transpose, validate_cm
+from .gaussian import BipartiteCM, _require_cm, partial_transpose, validate_cm
 from .matlin import DEFAULT_TOL, ToleranceConfig
 
 __all__ = ["PptReport", "ppt_check"]
@@ -26,14 +26,11 @@ class PptReport(NamedTuple):
 def ppt_check(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL) -> PptReport:
     """Test whether the partial transpose of ``cm`` is a valid CM.
 
-    The input must itself be a valid CM.  ``margin`` is the smallest
+    The input must itself be a valid CM; anything else raises
+    :class:`~gsep.gaussian.InvalidCMError`.  ``margin`` is the smallest
     eigenvalue of ``gamma_pt - iJ``; a decisively negative value proves
     the state entangled.
     """
-    report = validate_cm(cm, tol)
-    if not report.is_psd:
-        raise InvalidCMError(
-            f"input fails the CM test (margin {report.lambda_min:.3e})"
-        )
+    _require_cm(cm, tol)
     flipped = validate_cm(partial_transpose(cm), tol)
     return PptReport(flipped.is_psd, flipped.lambda_min)

@@ -8,9 +8,9 @@ from scipy.linalg import block_diag
 from _expm_fixtures import random_cm, random_covariance, random_separable_cm
 import gsep.engine as engine
 import gsep.gaussian as gaussian
+from gsep.certify import reconstruct, verify_certificate
 from gsep.engine import (
     BracketError,
-    MapPreconditionError,
     REASON_BLOCK_ENTANGLED,
     REASON_CONE_ENTANGLED,
     REASON_MAX_ITER,
@@ -90,7 +90,7 @@ class TestMapStep:
 
     def test_rejects_invalid_input(self):
         bad = BipartiteCM.from_blocks(0.5 * np.eye(2), 0.5 * np.eye(2), np.zeros((2, 2)))
-        with pytest.raises(MapPreconditionError, match="not a valid CM"):
+        with pytest.raises(InvalidCMError, match="not a state"):
             map_step(bad)
         # opting out of validation applies the map regardless
         out = map_step(bad, validate=False)
@@ -214,6 +214,19 @@ class TestDecide:
         with pytest.raises(InvalidCMError, match="not a state"):
             decide(bad)
 
+    def test_one_refusal_for_decide_map_step_and_ppt_check(self):
+        # a scaled-down tmss(1): structurally fine, but not a state
+        good = tmss(1.0)
+        bad = BipartiteCM.from_blocks(0.1 * good.A, 0.1 * good.B, 0.1 * good.C)
+        messages = []
+        for call in (decide, map_step, ppt_check):
+            with pytest.raises(InvalidCMError) as info:
+                call(bad)
+            messages.append(str(info.value))
+        margin = gaussian.validate_cm(bad).lambda_min
+        assert messages == [f"input fails the CM test (margin {margin:.3e}); "
+                            "not a state, refusing to classify"] * 3
+
     def test_rejects_bad_max_iter(self):
         with pytest.raises(ValueError, match="max_iter"):
             decide(vacuum(), max_iter=0)
@@ -298,6 +311,31 @@ class TestIterationInvariants:
                 diff = step.as_cm().gamma - floor
                 eigs = np.linalg.eigvalsh(diff)
                 assert eigs[0] >= -1e-8 * max(1.0, abs(eigs[-1]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.sampled_from([(2, 2), (3, 1), (1, 3)]), seed=st.integers(0, 299),
+           data=st.data())
+    def test_mode_reordering_within_a_party_keeps_kind_and_step(self, sizes, seed, data):
+        # margins move under the reordering (by 8% on the ill-conditioned
+        # 1+3 seed 163), so only kind and step are compared
+        n, m = sizes
+        cm = random_cm(n, m, "mixed", seed=seed)
+        modes = data.draw(st.permutations(range(n)))
+        modes += [n + k for k in data.draw(st.permutations(range(m)))]
+        order = [2 * k + q for k in modes for q in (0, 1)]
+        permuted = BipartiteCM.from_gamma(cm.gamma[np.ix_(order, order)], n, m)
+        before, after = decide(cm), decide(permuted)
+        assert (after.kind, after.step) == (before.kind, before.step)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 99), noise_seed=st.integers(0, 3), scale=st.floats(0.0, 3.0))
+    def test_psd_noise_keeps_a_separable_state_separable(self, seed, noise_seed, scale):
+        cm = random_separable_cm(2, 2, seed=seed)[0]
+        r = scale * np.random.default_rng(noise_seed).standard_normal((8, 8))
+        noisy = BipartiteCM.from_gamma(cm.gamma + r @ r.T, 2, 2)
+        verdict = decide(noisy)
+        assert verdict.kind is VerdictKind.SEPARABLE
+        assert verify_certificate(noisy, reconstruct(verdict.trace)).valid
 
 
 class TestDecideRobust:

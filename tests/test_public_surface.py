@@ -5,7 +5,7 @@ import gsep
 PUBLIC = [
     "BipartiteCM", "BracketError", "CMError", "CertificateError", "CertificateReport",
     "DEFAULT_TOL", "EngineError", "InvalidCMError", "IterationStep", "IterationTrace",
-    "MapPreconditionError", "MatrixInputError", "NumericalError", "PptReport", "PsdReport",
+    "MatrixInputError", "NumericalError", "PptReport", "PsdReport",
     "SchemaError", "SchurReport", "SeparabilityCertificate", "SweepPoint", "ToleranceConfig",
     "Verdict", "VerdictKind", "__version__", "decide", "decide_robust", "dump_certificate",
     "dump_cm", "find_threshold", "hermitian_part", "hermitian_reduce_psd", "load_certificate",
