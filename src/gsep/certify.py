@@ -1,4 +1,4 @@
-"""Explicit separability certificates from a separable-terminating trace.
+"""Evidence behind a verdict: separability certificates and entanglement witnesses.
 
 A separable verdict at step ``N`` means ``delta_N = A_N - ||C_N||_op I``
 is itself a valid CM.  That fact propagates backwards through the
@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import REASON_NORM_GAP_SEPARABLE, IterationTrace
+from .engine import (REASON_BLOCK_ENTANGLED, REASON_CONE_ENTANGLED, REASON_NORM_GAP_SEPARABLE,
+                     IterationTrace)
 from .gaussian import BipartiteCM, _direct_sum, symplectic_form
-from .matlin import (DEFAULT_TOL, PsdReport, ToleranceConfig, _eigh_pinv, _kernel_range,
-                     _psd_rule, psd_check)
+from .matlin import DEFAULT_TOL, PsdReport, ToleranceConfig, _schur_complement, psd_check
 
 __all__ = [
     "CertificateError",
@@ -43,6 +43,7 @@ __all__ = [
     "SeparabilityCertificate",
     "reconstruct",
     "verify_certificate",
+    "witness",
 ]
 
 
@@ -59,65 +60,51 @@ class SeparabilityCertificate:
     P: np.ndarray
 
 
+@dataclass(frozen=True)
 class CertificateReport:
     """Outcome of :func:`verify_certificate`.
 
-    ``valid`` is settled when the report is made.  ``margins`` are the
-    smallest eigenvalues of ``gamma_A - iJ``, ``gamma_B - iJ`` and
-    ``P``; :func:`verify_certificate` leaves them to the three
-    :class:`~gsep.matlin.PsdReport` objects it passes as ``checks``, so
-    they are solved on first read.
+    ``valid`` is settled when the report is made.  ``checks`` are the
+    three :class:`~gsep.matlin.PsdReport` objects behind it, for
+    ``gamma_A - iJ``, ``gamma_B - iJ`` and ``P``; ``margins`` reads
+    their smallest eigenvalues, which are solved on first read.
     """
 
-    __slots__ = ("valid", "_margins", "_checks")
-
-    def __init__(self, valid: bool, margins: tuple[float, float, float] | None = None,
-                 checks: tuple[PsdReport, PsdReport, PsdReport] = ()):
-        self.valid = valid
-        self._margins = margins
-        self._checks = checks
+    valid: bool
+    checks: tuple[PsdReport, PsdReport, PsdReport]
 
     @property
     def margins(self) -> tuple[float, float, float]:
-        if self._margins is None:
-            self._margins = tuple(check.lambda_min for check in self._checks)
-        return self._margins
-
-    def __repr__(self) -> str:
-        return f"CertificateReport(valid={self.valid}, margins={self.margins!r})"
+        return tuple(check.lambda_min for check in self.checks)
 
 
 def _cm_margin(mat: np.ndarray, tol: ToleranceConfig, what: str, step: int) -> np.ndarray:
-    """Check ``mat - iJ >= 0`` within tolerance; return the symmetrized matrix."""
-    sym = (mat + mat.T) / 2.0
-    report = psd_check(sym - 1j * symplectic_form(sym.shape[0] // 2), tol)
+    """Check ``mat - iJ >= 0`` within tolerance; return ``mat``, which is symmetric."""
+    report = psd_check(mat - 1j * symplectic_form(mat.shape[0] // 2), tol)
     if not report.is_psd:
         raise CertificateError(
             f"{what} at step {step} fails the CM test "
             f"(margin {report.lambda_min:.3e}); margins too tight to certify"
         )
-    return sym
+    return mat
 
 
 def _shur_against(a_block: np.ndarray, c_block: np.ndarray, delta: np.ndarray,
                   b_block: np.ndarray, tol: ToleranceConfig, step: int) -> np.ndarray:
     """Compute ``B - C^T (A - delta)^+ C`` with kernel-condition checks."""
-    gap = (a_block - delta)
-    gap = (gap + gap.T) / 2.0
-    eigs, vecs, kernel, gap_pinv = _eigh_pinv(gap, tol)
-    if not _psd_rule(eigs, tol):
+    out, gap_psd, margin, kernel_ok, residual = _schur_complement(
+        b_block, c_block.T, a_block - delta, tol)
+    if not gap_psd:
         raise CertificateError(
-            f"A - delta at step {step} is not PSD (margin {eigs[0]:.3e}); "
+            f"A - delta at step {step} is not PSD (margin {margin:.3e}); "
             "backward recursion cannot continue"
         )
-    kernel_ok, residual = _kernel_range(c_block.T, vecs, kernel, tol)
     if not kernel_ok:
         raise CertificateError(
             f"kernel condition fails at step {step}: ker(A - delta) is not "
             f"contained in ker(C^T) (residual {residual:.3e})"
         )
-    out = b_block - c_block.T @ gap_pinv @ c_block
-    return (out + out.T) / 2.0
+    return out
 
 
 def reconstruct(trace: IterationTrace, tol: ToleranceConfig = DEFAULT_TOL) -> SeparabilityCertificate:
@@ -135,22 +122,42 @@ def reconstruct(trace: IterationTrace, tol: ToleranceConfig = DEFAULT_TOL) -> Se
             f"(trace ended with: {trace.reason!r})"
         )
     final = trace.steps[-1]
-    delta = final.A - final.c_opnorm * np.eye(final.A.shape[0])
-    delta = _cm_margin(delta, tol, "norm-shifted final block", final.index)
+    delta = _cm_margin(final.A - final.c_opnorm * np.eye(final.A.shape[0]), tol,
+                       "norm-shifted final block", final.index)
 
     # walk gamma_{k+1} -> gamma_k knowledge down to the first iterate
     for step in reversed(trace.steps[:-1]):
-        gamma_b_k = _shur_against(step.A, step.C, delta, step.A, tol, step.index)
-        gamma_b_k = _cm_margin(gamma_b_k, tol, "reduced B-block", step.index)
+        gamma_b_k = _cm_margin(_shur_against(step.A, step.C, delta, step.A, tol, step.index),
+                               tol, "reduced B-block", step.index)
         delta = _cm_margin((delta + gamma_b_k) / 2.0, tol, "averaged block", step.index)
 
     gamma0 = trace.gamma0
     gamma_a = delta
-    gamma_b = _shur_against(gamma0.A, gamma0.C, delta, gamma0.B, tol, 0)
-    gamma_b = _cm_margin(gamma_b, tol, "reduced B-block", 0)
+    gamma_b = _cm_margin(_shur_against(gamma0.A, gamma0.C, delta, gamma0.B, tol, 0),
+                         tol, "reduced B-block", 0)
     noise = gamma0.gamma - _direct_sum(gamma_a, gamma_b)
-    noise = (noise + noise.T) / 2.0
     return SeparabilityCertificate(gamma_A=gamma_a, gamma_B=gamma_b, P=noise)
+
+
+def witness(trace: IterationTrace) -> tuple[float, np.ndarray]:
+    """The bottom eigenpair ``(lambda_min, vector)`` of the matrix whose test fired.
+
+    The trace must come from a run that terminated Entangled; anything
+    else raises ``ValueError``.  The matrix is ``A_N - iJ`` (a vector of
+    length ``2n``) when the ``A``-block test fired, and the assembled
+    ``gamma_N - iJ`` on ``n + n`` modes (length ``4n``) when the iterate
+    left the CM cone.  ``lambda_min`` is the verdict's margin, up to roundoff.
+    """
+    if trace.reason not in (REASON_BLOCK_ENTANGLED, REASON_CONE_ENTANGLED) or not trace.steps:
+        raise ValueError(
+            "witnesses exist only for entangled-terminating traces "
+            f"(trace ended with: {trace.reason!r})"
+        )
+    final = trace.steps[-1]
+    mat = (final._full_minus_ij() if trace.reason == REASON_CONE_ENTANGLED
+           else final.A - 1j * symplectic_form(final.A.shape[0] // 2))
+    eigs, vecs = np.linalg.eigh(mat)
+    return float(eigs[0]), vecs[:, 0]
 
 
 def verify_certificate(cm: BipartiteCM, certificate: SeparabilityCertificate,
@@ -175,4 +182,4 @@ def verify_certificate(cm: BipartiteCM, certificate: SeparabilityCertificate,
     rep_b = psd_check(gamma_b - 1j * symplectic_form(cm.m), tol)
     rep_p = psd_check(cm.gamma - _direct_sum(gamma_a, gamma_b), tol)
     valid = rep_a.is_psd and rep_b.is_psd and rep_p.is_psd
-    return CertificateReport(valid, checks=(rep_a, rep_b, rep_p))
+    return CertificateReport(valid, (rep_a, rep_b, rep_p))

@@ -15,9 +15,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .certify import CertificateError, reconstruct, verify_certificate
+from .certify import CertificateError, reconstruct, verify_certificate, witness
 from .engine import (
-    REASON_CONE_ENTANGLED,
     EngineError,
     VerdictKind,
     decide,
@@ -29,7 +28,6 @@ from .gaussian import (
     BipartiteCM,
     random_cm,
     random_separable_cm,
-    symplectic_form,
     tmss,
 )
 from .io import _canonical, dump_certificate, dump_cm, load_cm
@@ -89,39 +87,19 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    """Verdict plus evidence: a verified certificate, or a witness.
-
-    The witness of an entangled verdict is the bottom eigenvector of the
-    matrix whose test fired, with ``lambda_min`` its eigenvalue.  When
-    the ``A``-block test fired that is ``A_N - iJ`` on ``n`` modes, a
-    vector of length ``2n``; when the iterate left the CM cone it is the
-    assembled ``gamma_N - iJ`` on ``n + n`` modes, a vector of length
-    ``4n``.
-    """
+    """Verdict plus evidence: a verified certificate, or :func:`~gsep.certify.witness`."""
     cm = load_cm(args.input)
     tol = _tolerances(args)
     verdict = decide(cm, tol, args.max_iter)
     if verdict.kind is VerdictKind.SEPARABLE:
         certificate = reconstruct(verdict.trace, tol)
         report = verify_certificate(cm, certificate, tol)
-        _write(dump_certificate(certificate, report), args.output)
+        _write(dump_certificate(certificate, report.margins), args.output)
         return 0
     if verdict.kind is VerdictKind.ENTANGLED:
-        final = verdict.trace.steps[-1]
-        if verdict.reason == REASON_CONE_ENTANGLED:
-            # the blocks may be fine; the assembled n+n iterate is not
-            witness_of = final.as_cm().gamma - 1j * symplectic_form(2 * cm.n)
-        else:
-            witness_of = final.A - 1j * symplectic_form(cm.n)
-        eigs, vecs = np.linalg.eigh(witness_of)
-        witness = vecs[:, 0]
-        doc = {
-            "verdict": "entangled",
-            "step": verdict.step,
-            "lambda_min": float(eigs[0]),
-            "witness_real": witness.real.tolist(),
-            "witness_imag": witness.imag.tolist(),
-        }
+        lambda_min, vector = witness(verdict.trace)
+        doc = {"verdict": "entangled", "step": verdict.step, "lambda_min": lambda_min,
+               "witness_real": vector.real.tolist(), "witness_imag": vector.imag.tolist()}
         _write(_canonical(doc), args.output)
         return 0
     doc = {"verdict": "undecided", "step": verdict.step, "margin": verdict.margin,
@@ -178,8 +156,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", help="write result to this file instead of stdout")
-    # tolerances and the iteration limit, for the commands that decide
+    # the input, tolerances and the iteration limit, for the commands that decide
     common = argparse.ArgumentParser(add_help=False, parents=[output])
+    common.add_argument("--input", required=True, help="correlation-matrix JSON file")
     common.add_argument("--tol-psd", type=float, default=DEFAULT_TOL.psd_tol,
                         help="relative PSD tolerance for inputs and certificates "
                              "(default %(default)g)")
@@ -195,19 +174,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common],
                        help="decide separability of one state")
-    p.add_argument("--input", required=True, help="correlation-matrix JSON file")
     p.add_argument("--eps", type=float,
                    help="robust mode: decide up to +/- eps of identity noise")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("certify", parents=[common],
                        help="decide and emit a certificate or witness")
-    p.add_argument("--input", required=True, help="correlation-matrix JSON file")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("sweep", parents=[common],
                        help="decide along gamma + eps*P for a grid of eps")
-    p.add_argument("--input", required=True, help="correlation-matrix JSON file")
     p.add_argument("--eps", type=float, action="append",
                    help="explicit eps value (repeatable)")
     p.add_argument("--eps-grid", help="LO:HI:POINTS or LO:HI:POINTS:log")
@@ -219,7 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", parents=[common],
                        help="bisect for the smallest separating eps")
-    p.add_argument("--input", required=True, help="correlation-matrix JSON file")
     p.add_argument("--perturbation",
                    help="CM JSON file with the PSD perturbation (default identity)")
     p.add_argument("--eps-max", type=float, default=1e6,

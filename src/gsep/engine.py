@@ -117,10 +117,14 @@ class IterationStep:
     def margin_L(self) -> float:
         return self.margin_A - self.c_opnorm
 
+    def _full_minus_ij(self) -> np.ndarray:
+        """``gamma_N - iJ``, the matrix of the cone test, on ``n + n`` modes."""
+        gamma = np.block([[self.A, self.C], [self.C.T, self.A]])
+        return gamma - 1j * symplectic_form(self.A.shape[0])
+
     @cached_property
     def _eigs_full(self) -> np.ndarray:
-        gamma = np.block([[self.A, self.C], [self.C.T, self.A]])
-        return np.linalg.eigvalsh(gamma - 1j * symplectic_form(self.A.shape[0]))
+        return np.linalg.eigvalsh(self._full_minus_ij())
 
     @property
     def margin_full(self) -> float:

@@ -18,7 +18,7 @@ from typing import IO
 
 import numpy as np
 
-from .certify import CertificateReport, SeparabilityCertificate
+from .certify import SeparabilityCertificate
 from .gaussian import BipartiteCM, CMError
 
 __all__ = [
@@ -55,17 +55,23 @@ def _matrix_from_json(obj, name: str) -> np.ndarray:
     return arr
 
 
-def parse_cm(text: str) -> BipartiteCM:
-    """Parse a correlation-matrix JSON document."""
+def _json_object(text: str, keys: set[str]) -> dict:
+    """Parse ``text`` as a JSON object that has at least ``keys``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top-level JSON value must be an object")
-    missing = {"n", "m", "gamma"} - doc.keys()
+    missing = keys - doc.keys()
     if missing:
         raise SchemaError(f"missing keys: {sorted(missing)}")
+    return doc
+
+
+def parse_cm(text: str) -> BipartiteCM:
+    """Parse a correlation-matrix JSON document."""
+    doc = _json_object(text, {"n", "m", "gamma"})
     n, m = doc["n"], doc["m"]
     if (not isinstance(n, int) or not isinstance(m, int)
             or isinstance(n, bool) or isinstance(m, bool) or n < 1 or m < 1):
@@ -97,33 +103,26 @@ def load_cm(source: str | IO[str]) -> BipartiteCM:
 
 def parse_certificate(text: str) -> tuple[SeparabilityCertificate, tuple[float, float, float]]:
     """Parse a certificate JSON document; returns it with its stored margins."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("top-level JSON value must be an object")
-    missing = {"gamma_A", "gamma_B", "P", "margins"} - doc.keys()
-    if missing:
-        raise SchemaError(f"missing keys: {sorted(missing)}")
+    doc = _json_object(text, {"gamma_A", "gamma_B", "P", "margins"})
     gamma_a = _matrix_from_json(doc["gamma_A"], "gamma_A")
     gamma_b = _matrix_from_json(doc["gamma_B"], "gamma_B")
     noise = _matrix_from_json(doc["P"], "P")
     margins = doc["margins"]
     if (not isinstance(margins, list) or len(margins) != 3
-            or not all(isinstance(x, (int, float)) for x in margins)):
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       for x in margins)):
         raise SchemaError("'margins' must be a list of three numbers")
     cert = SeparabilityCertificate(gamma_A=gamma_a, gamma_B=gamma_b, P=noise)
     return cert, (float(margins[0]), float(margins[1]), float(margins[2]))
 
 
-def dump_certificate(certificate: SeparabilityCertificate, report: CertificateReport) -> str:
-    """Serialize a certificate plus its verification margins."""
+def dump_certificate(certificate: SeparabilityCertificate, margins: tuple[float, ...]) -> str:
+    """Serialize ``(certificate, margins)``, the pair :func:`parse_certificate` returns."""
     return _canonical({
         "gamma_A": certificate.gamma_A.tolist(),
         "gamma_B": certificate.gamma_B.tolist(),
         "P": certificate.P.tolist(),
-        "margins": list(report.margins),
+        "margins": list(margins),
     })
 
 

@@ -204,15 +204,27 @@ def _eigh_pinv(herm: np.ndarray, tol: ToleranceConfig):
     return eigs, vecs, kernel, (vecs * inv) @ vecs.conj().T
 
 
-def _kernel_range(coupling: np.ndarray, vecs: np.ndarray, kernel: np.ndarray,
-                  tol: ToleranceConfig) -> tuple[bool, float]:
-    """Whether ``||coupling v|| <= psd_tol * max(1, ||coupling||_op)`` for
-    every kernel column ``v`` of ``vecs``, and the worst such residual."""
-    if not kernel.any():
-        return True, 0.0
-    residuals = np.linalg.norm(coupling @ vecs[:, kernel], axis=0)
-    allowance = tol.psd_tol * max(1.0, operator_norm(coupling))
-    return bool(np.all(residuals <= allowance)), float(residuals.max())
+def _schur_complement(outer: np.ndarray, coupling: np.ndarray, inner: np.ndarray,
+                      tol: ToleranceConfig):
+    """The Schur complement of ``inner`` in ``[[outer, coupling], [coupling^T, inner]]``.
+
+    One :func:`_eigh_pinv` of the real symmetric ``inner`` yields all
+    three facts that decide whether that block matrix is PSD.  Returns
+    ``(complement, inner_psd, inner_margin, kernel_ok, residual)``:
+    ``outer - coupling inner^+ coupling^T`` symmetrized; whether
+    ``inner`` passes the PSD rule, with ``lambda_min(inner)``; and
+    whether ``||coupling v|| <= psd_tol * max(1, ||coupling||_op)`` for
+    every kernel vector ``v`` of ``inner``, with the worst such residual.
+    """
+    eigs, vecs, kernel, inner_pinv = _eigh_pinv(inner, tol)
+    kernel_ok, residual = True, 0.0
+    if kernel.any():
+        residuals = np.linalg.norm(coupling @ vecs[:, kernel], axis=0)
+        allowance = tol.psd_tol * max(1.0, operator_norm(coupling))
+        kernel_ok, residual = bool(np.all(residuals <= allowance)), float(residuals.max())
+    complement = outer - coupling @ inner_pinv @ coupling.T
+    return ((complement + complement.T) / 2.0, _psd_rule(eigs, tol), float(eigs[0]),
+            kernel_ok, residual)
 
 
 def pseudoinverse(mat, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -257,10 +269,8 @@ def schur_psd(block_a, block_b, block_c, tol: ToleranceConfig = DEFAULT_TOL) -> 
             f"{a.shape} and {b.shape}"
         )
 
-    eigs, vecs, kernel, b_pinv = _eigh_pinv(b, tol)
-    kernel_ok = _kernel_range(c, vecs, kernel, tol)[0]
-    b_psd = _psd_rule(eigs, tol)
-    complement_psd = psd_check(a - c @ b_pinv @ c.T, tol).is_psd
+    complement, b_psd, _, kernel_ok, _ = _schur_complement(a, c, b, tol)
+    complement_psd = psd_check(complement, tol).is_psd
     return SchurReport(bool(b_psd and kernel_ok and complement_psd), kernel_ok)
 
 
@@ -289,6 +299,4 @@ def hermitian_reduce_psd(sym, antisym, tol: ToleranceConfig = DEFAULT_TOL) -> bo
     if float(np.abs(c + c.T).max()) > allowance:
         raise MatrixInputError("antisym block has antisymmetry residual above tolerance")
 
-    a = (a + a.T) / 2.0
-    c = (c - c.T) / 2.0
     return psd_check(a + 1j * c, tol).is_psd

@@ -10,12 +10,16 @@ from gsep.certify import (
     SeparabilityCertificate,
     reconstruct,
     verify_certificate,
+    witness,
 )
 from gsep.engine import (
+    REASON_BLOCK_ENTANGLED,
+    REASON_CONE_ENTANGLED,
     REASON_NORM_GAP_SEPARABLE,
     IterationStep,
     IterationTrace,
     VerdictKind,
+    _shifted,
     decide,
 )
 from gsep.gaussian import BipartiteCM, symplectic_form, tmss
@@ -156,6 +160,44 @@ class TestReconstructFailures:
         with pytest.raises(CertificateError, match="kernel condition fails at step") as exc:
             reconstruct(trace)
         assert "residual 5.000e-01" in str(exc.value)
+
+
+class TestWitness:
+    def test_block_test_witness_is_the_a_block_eigenpair(self):
+        cm = tmss(1.0)
+        verdict = decide(cm)
+        assert verdict.trace.reason == REASON_BLOCK_ENTANGLED
+        lam, vec = witness(verdict.trace)
+        assert vec.shape == (2 * cm.n,)
+        assert lam == verdict.margin
+        mat = verdict.trace.steps[-1].A - 1j * symplectic_form(cm.n)
+        assert np.linalg.norm(mat @ vec - lam * vec) <= 1e-12
+
+    def test_cone_exit_witness_is_the_full_iterate_eigenpair(self):
+        # just below tmss(1.0)'s noise threshold: the A block is a valid
+        # CM, the assembled iterate is not
+        cm = _shifted(tmss(1.0), 1.0 - np.exp(-2.0) - 1e-9)
+        verdict = decide(cm)
+        assert verdict.trace.reason == REASON_CONE_ENTANGLED
+        assert verdict.step == 1
+        lam, vec = witness(verdict.trace)
+        assert vec.shape == (4 * cm.n,)
+        assert abs(lam - verdict.margin) <= 1e-12
+        step = verdict.trace.steps[-1]
+        mat = np.block([[step.A, step.C], [step.C.T, step.A]]) - 1j * symplectic_form(2 * cm.n)
+        assert np.linalg.norm(mat @ vec - lam * vec) <= 1e-12
+
+    def test_separable_trace_is_rejected(self):
+        verdict = decide(vacuum())
+        assert verdict.kind is VerdictKind.SEPARABLE
+        with pytest.raises(ValueError, match="entangled-terminating"):
+            witness(verdict.trace)
+
+    def test_undecided_trace_is_rejected(self):
+        verdict = decide(random_cm(2, 2, "mixed", seed=37), max_iter=2)
+        assert verdict.kind is VerdictKind.UNDECIDED
+        with pytest.raises(ValueError, match="entangled-terminating"):
+            witness(verdict.trace)
 
 
 class TestVerifyCertificate:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from _expm_fixtures import random_cm
-from gsep.certify import CertificateReport, SeparabilityCertificate
+from gsep.certify import SeparabilityCertificate
 from gsep.gaussian import tmss
 from gsep.io import (
     SchemaError,
@@ -116,21 +116,17 @@ class TestCertificateRoundTrip:
         cert = SeparabilityCertificate(
             gamma_A=np.eye(2), gamma_B=2.0 * np.eye(4), P=np.zeros((6, 6)),
         )
-        report = CertificateReport(valid=True, margins=(0.0, 1.0, 0.0))
-        return cert, report
+        return cert, (0.0, 1.0, 0.0)
 
     def test_dump_load_dump_is_stable(self):
-        cert, report = self.make()
-        text = dump_certificate(cert, report)
-        back, margins = parse_certificate(text)
-        assert margins == (0.0, 1.0, 0.0)
-        again = dump_certificate(back, CertificateReport(valid=True, margins=margins))
-        assert text == again
+        text = dump_certificate(*self.make())
+        assert parse_certificate(text)[1] == (0.0, 1.0, 0.0)
+        assert dump_certificate(*parse_certificate(text)) == text
 
     def test_load_from_path(self, tmp_path):
-        cert, report = self.make()
+        cert, margins = self.make()
         path = tmp_path / "cert.json"
-        path.write_text(dump_certificate(cert, report), encoding="utf-8")
+        path.write_text(dump_certificate(cert, margins), encoding="utf-8")
         back, margins = load_certificate(path)
         np.testing.assert_allclose(back.gamma_B, cert.gamma_B, atol=0)
         assert margins[1] == 1.0
@@ -139,16 +135,16 @@ class TestCertificateRoundTrip:
         with pytest.raises(SchemaError, match="missing keys"):
             parse_certificate(json.dumps({"gamma_A": [[1.0]]}))
 
-    @pytest.mark.parametrize("margins", [[0.0, 1.0], "big", [0.0, "x", 1.0]])
+    @pytest.mark.parametrize("margins", [[0.0, 1.0], "big", [0.0, "x", 1.0],
+                                         [True, False, True]])
     def test_bad_margins(self, margins):
-        cert, report = self.make()
-        doc = json.loads(dump_certificate(cert, report))
+        doc = json.loads(dump_certificate(*self.make()))
         doc["margins"] = margins
         with pytest.raises(SchemaError, match="three numbers"):
             parse_certificate(json.dumps(doc))
 
     def test_stream_input(self):
-        cert, report = self.make()
-        stream = _io.StringIO(dump_certificate(cert, report))
+        cert, margins = self.make()
+        stream = _io.StringIO(dump_certificate(cert, margins))
         back, _ = load_certificate(stream)
         np.testing.assert_allclose(back.P, cert.P, atol=0)

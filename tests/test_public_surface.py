@@ -13,7 +13,7 @@ PUBLIC = [
     "partial_transpose", "ppt_check", "psd_check", "pseudoinverse", "random_cm",
     "random_covariance", "random_separable_cm", "random_symplectic", "reconstruct",
     "schur_psd", "sweep", "symplectic_form", "tmss", "trace_norm", "validate_cm",
-    "verify_certificate",
+    "verify_certificate", "witness",
 ]
 
 
