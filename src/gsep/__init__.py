@@ -3,6 +3,8 @@
 The library decides, from the correlation matrix alone, whether a
 bipartite Gaussian state is separable or entangled, and backs separable
 verdicts with explicit certificates that can be verified independently.
+The linear algebra underneath (PSD tests, pseudoinverse, norms, Schur
+complements) is public in :mod:`gsep.matlin`, not re-exported here.
 """
 
 from .certify import (
@@ -51,20 +53,7 @@ from .io import (
     parse_certificate,
     parse_cm,
 )
-from .matlin import (
-    DEFAULT_TOL,
-    MatrixInputError,
-    PsdReport,
-    SchurReport,
-    ToleranceConfig,
-    hermitian_part,
-    hermitian_reduce_psd,
-    operator_norm,
-    pseudoinverse,
-    psd_check,
-    schur_psd,
-    trace_norm,
-)
+from .matlin import DEFAULT_TOL, MatrixInputError, PsdReport, ToleranceConfig
 from .ppt import PptReport, ppt_check
 
 __version__ = "0.1.0"
@@ -85,7 +74,6 @@ __all__ = [
     "PptReport",
     "PsdReport",
     "SchemaError",
-    "SchurReport",
     "SeparabilityCertificate",
     "SweepPoint",
     "ToleranceConfig",
@@ -96,29 +84,22 @@ __all__ = [
     "dump_certificate",
     "dump_cm",
     "find_threshold",
-    "hermitian_part",
-    "hermitian_reduce_psd",
     "load_certificate",
     "load_cm",
     "map_step",
     "momentum_flip",
-    "operator_norm",
     "parse_certificate",
     "parse_cm",
     "partial_transpose",
     "ppt_check",
-    "psd_check",
-    "pseudoinverse",
     "random_cm",
     "random_covariance",
     "random_separable_cm",
     "random_symplectic",
     "reconstruct",
-    "schur_psd",
     "sweep",
     "symplectic_form",
     "tmss",
-    "trace_norm",
     "validate_cm",
     "verify_certificate",
     "witness",

@@ -164,22 +164,34 @@ def verify_certificate(cm: BipartiteCM, certificate: SeparabilityCertificate,
                        tol: ToleranceConfig = DEFAULT_TOL) -> CertificateReport:
     """Independently verify a certificate against the original state.
 
-    Three PSD tests: ``gamma_A`` and ``gamma_B`` must be valid CMs of
-    the two subsystems and ``P = gamma - gamma_A oplus gamma_B`` must be
-    PSD.  Each is settled by a shifted Cholesky factorization, with an
-    eigensolve only when one fails, and ``valid`` is their conjunction
-    under the usual relative tolerance.  The three margins are solved
-    when ``margins`` is first read.
+    The blocks must have the state's shapes, and the certificate's own
+    ``P`` must satisfy ``gamma = gamma_A oplus gamma_B + P`` to within
+    ``psd_tol * max(1, max|gamma|)`` entrywise; otherwise ``ValueError``,
+    quoting the residual.  Then three PSD tests: ``gamma_A`` and
+    ``gamma_B`` must be valid CMs of the two subsystems and ``P`` must
+    be PSD.  Each is settled by a shifted Cholesky factorization, with
+    an eigensolve only when one fails, and ``valid`` is their
+    conjunction under the usual relative tolerance.  The three margins
+    are solved when ``margins`` is first read.
     """
     gamma_a = np.asarray(certificate.gamma_A, dtype=float)
     gamma_b = np.asarray(certificate.gamma_B, dtype=float)
-    if gamma_a.shape != (2 * cm.n,) * 2 or gamma_b.shape != (2 * cm.m,) * 2:
+    noise = np.asarray(certificate.P, dtype=float)
+    gamma = cm.gamma
+    if (gamma_a.shape != (2 * cm.n,) * 2 or gamma_b.shape != (2 * cm.m,) * 2
+            or noise.shape != gamma.shape):
         raise ValueError(
-            f"certificate blocks {gamma_a.shape}/{gamma_b.shape} do not match "
-            f"a {cm.n}+{cm.m} mode state"
+            f"certificate blocks {gamma_a.shape}/{gamma_b.shape}/{noise.shape} do not "
+            f"match a {cm.n}+{cm.m} mode state"
+        )
+    residual = float(np.abs(gamma - _direct_sum(gamma_a, gamma_b) - noise).max())
+    if not residual <= tol.psd_tol * max(1.0, float(np.abs(gamma).max())):
+        raise ValueError(
+            f"certificate does not reproduce the state: "
+            f"max|gamma - gamma_A oplus gamma_B - P| = {residual:.3e}"
         )
     rep_a = psd_check(gamma_a - 1j * symplectic_form(cm.n), tol)
     rep_b = psd_check(gamma_b - 1j * symplectic_form(cm.m), tol)
-    rep_p = psd_check(cm.gamma - _direct_sum(gamma_a, gamma_b), tol)
+    rep_p = psd_check(noise, tol)
     valid = rep_a.is_psd and rep_b.is_psd and rep_p.is_psd
     return CertificateReport(valid, (rep_a, rep_b, rep_p))

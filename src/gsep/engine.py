@@ -353,11 +353,16 @@ def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
 
     ``perturbation`` defaults to the identity.  An already-separable
     input returns ``0.0``.  The upper bracket is found by doubling from
-    ``eps = 1``; failing to find one below ``eps_max`` raises
-    :class:`BracketError`.  Bisection narrows the bracket to ``width``
-    and returns its midpoint.  UNDECIDED verdicts count as
-    not-yet-separable, so the returned value errs on the large side.
+    ``eps = min(1, eps_max)``, capped at ``eps_max``; no probe goes past
+    it, and failing to find a bracket up to it raises
+    :class:`BracketError`.  An ``eps_max`` that is not positive and
+    finite raises ``ValueError``.
+    Bisection narrows the bracket to ``width`` and returns its midpoint.
+    UNDECIDED verdicts count as not-yet-separable, so the returned value
+    errs on the large side.
     """
+    if not 0.0 < eps_max < np.inf:
+        raise ValueError(f"eps_max must be positive and finite, got {eps_max!r}")
     if perturbation is None:
         perturbation = np.eye(2 * (cm.n + cm.m))
     pert = _checked_perturbation(cm, perturbation, tol)
@@ -374,14 +379,13 @@ def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
         verdict = decide(_shifted(cm, eps, pert), tol, max_iter)
         return verdict.kind is VerdictKind.SEPARABLE
 
-    lo, hi = 0.0, 1.0
+    lo, hi = 0.0, min(1.0, eps_max)
     while not separable_at(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > eps_max:
+        if hi >= eps_max:
             raise BracketError(
-                f"no separable bracket found below eps_max={eps_max:g}"
+                f"no separable bracket found up to eps_max={eps_max:g}"
             )
+        lo, hi = hi, min(2.0 * hi, eps_max)
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if separable_at(mid):

@@ -69,6 +69,14 @@ def _json_object(text: str, keys: set[str]) -> dict:
     return doc
 
 
+def _read_text(source: str | IO[str]) -> str:
+    """The whole text of a path or an open text stream."""
+    if hasattr(source, "read"):
+        return source.read()
+    with open(source, encoding="utf-8") as handle:
+        return handle.read()
+
+
 def parse_cm(text: str) -> BipartiteCM:
     """Parse a correlation-matrix JSON document."""
     doc = _json_object(text, {"n", "m", "gamma"})
@@ -95,10 +103,7 @@ def dump_cm(cm: BipartiteCM) -> str:
 
 def load_cm(source: str | IO[str]) -> BipartiteCM:
     """Load a CM from a path or an open text stream."""
-    if hasattr(source, "read"):
-        return parse_cm(source.read())
-    with open(source, encoding="utf-8") as handle:
-        return parse_cm(handle.read())
+    return parse_cm(_read_text(source))
 
 
 def parse_certificate(text: str) -> tuple[SeparabilityCertificate, tuple[float, float, float]]:
@@ -128,7 +133,4 @@ def dump_certificate(certificate: SeparabilityCertificate, margins: tuple[float,
 
 def load_certificate(source: str | IO[str]):
     """Load a certificate from a path or an open text stream."""
-    if hasattr(source, "read"):
-        return parse_certificate(source.read())
-    with open(source, encoding="utf-8") as handle:
-        return parse_certificate(handle.read())
+    return parse_certificate(_read_text(source))

@@ -1,5 +1,7 @@
 """Tests for certificate reconstruction and verification."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -23,7 +25,7 @@ from gsep.engine import (
     decide,
 )
 from gsep.gaussian import BipartiteCM, symplectic_form, tmss
-from gsep.matlin import pseudoinverse
+from gsep.matlin import DEFAULT_TOL, pseudoinverse
 
 
 def vacuum(n=1, m=1):
@@ -218,6 +220,41 @@ class TestVerifyCertificate:
         assert report.margins[2] == pytest.approx(np.exp(-2.0) - 1.0, abs=1e-12)
 
     def test_shape_mismatch_raises(self):
-        cert = SeparabilityCertificate(np.eye(4), np.eye(2), np.zeros((6, 6)))
-        with pytest.raises(ValueError, match="do not match"):
-            verify_certificate(vacuum(), cert)
+        # a wrong-shape block, and valid blocks with a P of the wrong shape
+        for cert in (SeparabilityCertificate(np.eye(4), np.eye(2), np.zeros((6, 6))),
+                     SeparabilityCertificate(np.eye(2), np.eye(2), np.zeros((1, 1))),
+                     SeparabilityCertificate(np.eye(2), np.eye(2), np.zeros((2, 2)))):
+            with pytest.raises(ValueError, match="do not match"):
+                verify_certificate(vacuum(), cert)
+
+    def planted(self):
+        cm = random_separable_cm(2, 1, seed=7)[0]
+        cert = reconstruct(decide(cm).trace)
+        assert verify_certificate(cm, cert).valid
+        return cm, cert
+
+    def test_p_that_does_not_reproduce_the_state_raises(self):
+        # a constant P, and an exact P with one symmetric pair moved to
+        # twice the tolerance, are both refused with the residual quoted
+        cm, cert = self.planted()
+        bound = DEFAULT_TOL.psd_tol * max(1.0, np.max(np.abs(cm.gamma)))
+        nudged = cert.P.copy()
+        nudged[0, 1] = nudged[1, 0] = cert.P[0, 1] + 2.0 * bound
+        constant = np.full_like(cert.P, 123.0)
+        for noise in (constant, nudged):
+            residual = np.max(np.abs(cert.P - noise))
+            forged = SeparabilityCertificate(cert.gamma_A, cert.gamma_B, noise)
+            quoted = re.escape(f"= {residual:.3e}")
+            with pytest.raises(ValueError, match=rf"reproduce the state: .* {quoted}$"):
+                verify_certificate(cm, forged)
+
+    def test_checks_run_on_the_given_p(self):
+        # a P within tolerance of the exact remainder is accepted, and its
+        # margin is that of the P supplied, not of a recomputed remainder
+        cm, cert = self.planted()
+        shift = 0.5e-9
+        report = verify_certificate(cm, SeparabilityCertificate(
+            cert.gamma_A, cert.gamma_B, cert.P + shift * np.eye(cert.P.shape[0])))
+        exact = verify_certificate(cm, cert)
+        assert report.valid
+        assert report.margins[2] == pytest.approx(exact.margins[2] + shift, abs=1e-13)

@@ -233,6 +233,12 @@ class TestThreshold:
         assert code == 3
         assert err.startswith("numerical failure:")
 
+    def test_eps_max_below_threshold_is_numerical_failure(self, tmp_path, capsys):
+        code, out, err = run(capsys, "threshold", "--input", write_cm(tmp_path, tmss(1.0)),
+                             "--eps-max", "0.5")
+        assert code == 3 and out == ""
+        assert "eps_max=0.5" in err
+
 
 class TestGen:
     def test_tmss_round_trip(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""Every demo script runs to completion against the in-tree package."""
+"""Every demo script and every ``python`` block of README.md runs against the in-tree package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,28 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (ROOT / "README.md").read_text(encoding="utf-8"),
+                           flags=re.MULTILINE | re.DOTALL)
+
+
+def run_fresh(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_cleanly(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr[-2000:]
+    run_fresh([str(script)])
+
+
+def test_readme_has_python_blocks():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("code", README_BLOCKS,
+                         ids=[f"block-{i}" for i in range(len(README_BLOCKS))])
+def test_readme_block_exits_cleanly(code):
+    run_fresh(["-c", code])

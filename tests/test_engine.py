@@ -468,6 +468,31 @@ class TestFindThreshold:
         with pytest.raises(BracketError, match="eps_max"):
             find_threshold(tmss(1.0), np.zeros((4, 4)), eps_max=100.0)
 
+    def test_no_probe_goes_past_eps_max(self, monkeypatch):
+        probes = []
+        shifted = engine._shifted
+
+        def spy(cm, eps, pert=None):
+            probes.append(eps)
+            return shifted(cm, eps, pert)
+
+        monkeypatch.setattr(engine, "_shifted", spy)
+        with pytest.raises(BracketError, match="eps_max=0.5"):
+            find_threshold(tmss(1.0), eps_max=0.5)
+        assert probes == [0.5]
+        probes.clear()
+        threshold = find_threshold(tmss(1.0), eps_max=0.9)
+        assert max(probes) == 0.9
+        assert abs(threshold - EPS_STAR_R1) <= DEFAULT_TOL.decision_margin
+        probes.clear()
+        find_threshold(tmss(1.0))  # the default brackets at eps = 1, as it always has
+        assert probes[:2] == [1.0, 0.5]
+
+    @pytest.mark.parametrize("eps_max", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_eps_max_that_bounds_nothing(self, eps_max):
+        with pytest.raises(ValueError, match="eps_max must be positive and finite"):
+            find_threshold(tmss(1.0), eps_max=eps_max)
+
     def test_undecided_base_raises(self):
         cm = random_cm(2, 2, "mixed", seed=37)  # needs 4 steps
         with pytest.raises(BracketError, match="undecided"):
