@@ -66,8 +66,8 @@ class CertificateReport:
 
     ``valid`` is settled when the report is made.  ``checks`` are the
     three :class:`~gsep.matlin.PsdReport` objects behind it, for
-    ``gamma_A - iJ``, ``gamma_B - iJ`` and ``P``; ``margins`` reads
-    their smallest eigenvalues, which are solved on first read.
+    ``gamma_A - iJ``, ``gamma_B - iJ`` and ``gamma - gamma_A oplus
+    gamma_B``; ``margins`` reads their lazily solved bottom eigenvalues.
     """
 
     valid: bool
@@ -164,15 +164,14 @@ def verify_certificate(cm: BipartiteCM, certificate: SeparabilityCertificate,
                        tol: ToleranceConfig = DEFAULT_TOL) -> CertificateReport:
     """Independently verify a certificate against the original state.
 
-    The blocks must have the state's shapes, and the certificate's own
-    ``P`` must satisfy ``gamma = gamma_A oplus gamma_B + P`` to within
-    ``psd_tol * max(1, max|gamma|)`` entrywise; otherwise ``ValueError``,
-    quoting the residual.  Then three PSD tests: ``gamma_A`` and
-    ``gamma_B`` must be valid CMs of the two subsystems and ``P`` must
-    be PSD.  Each is settled by a shifted Cholesky factorization, with
-    an eigensolve only when one fails, and ``valid`` is their
-    conjunction under the usual relative tolerance.  The three margins
-    are solved when ``margins`` is first read.
+    The blocks and ``P`` must have the state's shapes, and ``P`` must
+    reproduce it, ``max|gamma - gamma_A oplus gamma_B - P| <= psd_tol *
+    max(1, max|gamma|)``; otherwise ``ValueError``, quoting the residual.
+    Then three PSD tests, each a shifted Cholesky factorization with an
+    eigensolve only when it fails: ``gamma_A`` and ``gamma_B`` must be
+    valid CMs and the exact remainder ``gamma - gamma_A oplus gamma_B``
+    (not ``P``) must be PSD.  ``valid`` is their conjunction; the three
+    margins are solved when ``margins`` is first read.
     """
     gamma_a = np.asarray(certificate.gamma_A, dtype=float)
     gamma_b = np.asarray(certificate.gamma_B, dtype=float)
@@ -184,7 +183,8 @@ def verify_certificate(cm: BipartiteCM, certificate: SeparabilityCertificate,
             f"certificate blocks {gamma_a.shape}/{gamma_b.shape}/{noise.shape} do not "
             f"match a {cm.n}+{cm.m} mode state"
         )
-    residual = float(np.abs(gamma - _direct_sum(gamma_a, gamma_b) - noise).max())
+    remainder = gamma - _direct_sum(gamma_a, gamma_b)
+    residual = float(np.abs(remainder - noise).max())
     if not residual <= tol.psd_tol * max(1.0, float(np.abs(gamma).max())):
         raise ValueError(
             f"certificate does not reproduce the state: "
@@ -192,6 +192,6 @@ def verify_certificate(cm: BipartiteCM, certificate: SeparabilityCertificate,
         )
     rep_a = psd_check(gamma_a - 1j * symplectic_form(cm.n), tol)
     rep_b = psd_check(gamma_b - 1j * symplectic_form(cm.m), tol)
-    rep_p = psd_check(noise, tol)
+    rep_p = psd_check(remainder, tol)
     valid = rep_a.is_psd and rep_b.is_psd and rep_p.is_psd
     return CertificateReport(valid, (rep_a, rep_b, rep_p))

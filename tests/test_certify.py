@@ -248,13 +248,14 @@ class TestVerifyCertificate:
             with pytest.raises(ValueError, match=rf"reproduce the state: .* {quoted}$"):
                 verify_certificate(cm, forged)
 
-    def test_checks_run_on_the_given_p(self):
-        # a P within tolerance of the exact remainder is accepted, and its
-        # margin is that of the P supplied, not of a recomputed remainder
+    def test_p_within_tolerance_cannot_raise_the_margin(self):
+        # a P shifted within the tolerance is accepted, but the PSD test
+        # runs on the exact remainder gamma - gamma_A oplus gamma_B, so the
+        # shift buys no margin
         cm, cert = self.planted()
         shift = 0.5e-9
         report = verify_certificate(cm, SeparabilityCertificate(
             cert.gamma_A, cert.gamma_B, cert.P + shift * np.eye(cert.P.shape[0])))
         exact = verify_certificate(cm, cert)
         assert report.valid
-        assert report.margins[2] == pytest.approx(exact.margins[2] + shift, abs=1e-13)
+        assert report.margins == exact.margins
