@@ -34,7 +34,7 @@ import numpy as np
 
 from .engine import (REASON_BLOCK_ENTANGLED, REASON_CONE_ENTANGLED, REASON_NORM_GAP_SEPARABLE,
                      IterationTrace)
-from .gaussian import BipartiteCM, _direct_sum, symplectic_form
+from .gaussian import BipartiteCM, _direct_sum, _ingest_symmetric, symplectic_form
 from .matlin import DEFAULT_TOL, PsdReport, ToleranceConfig, _schur_complement, psd_check
 
 __all__ = [
@@ -153,9 +153,9 @@ def witness(trace: IterationTrace) -> tuple[float, np.ndarray]:
             "witnesses exist only for entangled-terminating traces "
             f"(trace ended with: {trace.reason!r})"
         )
-    final = trace.steps[-1]
-    mat = (final._full_minus_ij() if trace.reason == REASON_CONE_ENTANGLED
-           else final.A - 1j * symplectic_form(final.A.shape[0] // 2))
+    a, c = trace.steps[-1].A, trace.steps[-1].C
+    mat = (np.block([[a, c], [c.T, a]]) - 1j * symplectic_form(a.shape[0])
+           if trace.reason == REASON_CONE_ENTANGLED else a - 1j * symplectic_form(a.shape[0] // 2))
     eigs, vecs = np.linalg.eigh(mat)
     return float(eigs[0]), vecs[:, 0]
 
@@ -164,32 +164,32 @@ def verify_certificate(cm: BipartiteCM, certificate: SeparabilityCertificate,
                        tol: ToleranceConfig = DEFAULT_TOL) -> CertificateReport:
     """Independently verify a certificate against the original state.
 
-    The blocks and ``P`` must have the state's shapes, and ``P`` must
-    reproduce it, ``max|gamma - gamma_A oplus gamma_B - P| <= psd_tol *
-    max(1, max|gamma|)``; otherwise ``ValueError``, quoting the residual.
+    The blocks and ``P`` must have the state's shapes, pass its ingest
+    rule (finite and symmetric up to roundoff, else ``CMError``), and
+    ``P`` must reproduce the state, ``max|gamma - gamma_A oplus gamma_B
+    - P| <= psd_tol * max(1, max|gamma|)``; otherwise ``ValueError``,
+    quoting the residual.
     Then three PSD tests, each a shifted Cholesky factorization with an
     eigensolve only when it fails: ``gamma_A`` and ``gamma_B`` must be
     valid CMs and the exact remainder ``gamma - gamma_A oplus gamma_B``
     (not ``P``) must be PSD.  ``valid`` is their conjunction; the three
     margins are solved when ``margins`` is first read.
     """
-    gamma_a = np.asarray(certificate.gamma_A, dtype=float)
-    gamma_b = np.asarray(certificate.gamma_B, dtype=float)
-    noise = np.asarray(certificate.P, dtype=float)
-    gamma = cm.gamma
-    if (gamma_a.shape != (2 * cm.n,) * 2 or gamma_b.shape != (2 * cm.m,) * 2
-            or noise.shape != gamma.shape):
-        raise ValueError(
-            f"certificate blocks {gamma_a.shape}/{gamma_b.shape}/{noise.shape} do not "
-            f"match a {cm.n}+{cm.m} mode state"
-        )
-    remainder = gamma - _direct_sum(gamma_a, gamma_b)
-    residual = float(np.abs(remainder - noise).max())
-    if not residual <= tol.psd_tol * max(1.0, float(np.abs(gamma).max())):
-        raise ValueError(
-            f"certificate does not reproduce the state: "
-            f"max|gamma - gamma_A oplus gamma_B - P| = {residual:.3e}"
-        )
+    d_a, d_b = 2 * cm.n, 2 * cm.m
+    shapes = [np.shape(x) for x in (certificate.gamma_A, certificate.gamma_B, certificate.P)]
+    if shapes != [(d_a, d_a), (d_b, d_b), (d_a + d_b, d_a + d_b)]:
+        raise ValueError(f"certificate blocks {shapes[0]}/{shapes[1]}/{shapes[2]} do not "
+                         f"match a {cm.n}+{cm.m} mode state")
+    gamma_a = _ingest_symmetric(certificate.gamma_A, "gamma_A")
+    gamma_b = _ingest_symmetric(certificate.gamma_B, "gamma_B")
+    remainder = cm.gamma  # a fresh array: gamma - gamma_A oplus gamma_B is formed in place
+    scale = max(1.0, float(np.abs(remainder).max()))
+    remainder[:d_a, :d_a] -= gamma_a
+    remainder[d_a:, d_a:] -= gamma_b
+    residual = float(np.abs(remainder - _ingest_symmetric(certificate.P, "P")).max())
+    if not residual <= tol.psd_tol * scale:
+        raise ValueError("certificate does not reproduce the state: "
+                         f"max|gamma - gamma_A oplus gamma_B - P| = {residual:.3e}")
     rep_a = psd_check(gamma_a - 1j * symplectic_form(cm.n), tol)
     rep_b = psd_check(gamma_b - 1j * symplectic_form(cm.m), tol)
     rep_p = psd_check(remainder, tol)

@@ -15,7 +15,8 @@ to every iterate ``N >= 1``:
   separable decomposition (see :mod:`gsep.certify`).
 
 If an iterate stops being a valid CM before either test fires, the input
-was entangled as well, and the iteration terminates with that verdict.
+was entangled as well; this cone test runs on the pair ``A_N - iJ +/- iC_N``,
+whose spectra make up that of ``gamma_N - iJ``, and never assembles it.
 All three tests judge their margin by one absolute band: it passes when
 ``>= -decision_margin`` and fails below.  Inputs on which no test fires
 come back ``UNDECIDED``, and :func:`decide_robust` is the documented way
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import BipartiteCM, InvalidCMError, _require_cm, symplectic_form
+from .gaussian import BipartiteCM, InvalidCMError, _ingest_symmetric, _require_cm, symplectic_form
 from .matlin import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -95,15 +96,15 @@ class IterationStep:
     ``margin_A`` is ``lambda_min(A_N - iJ)``, ``margin_L`` the same for
     the shifted block ``A_N - ||C_N||_op I`` (the shift moves every
     eigenvalue by exactly ``-c_opnorm``), and ``margin_full`` for the
-    assembled iterate ``gamma_N - iJ``; :func:`decide` compares each
-    with ``-decision_margin``.  ``scale_full`` is ``max(1, |lambda|_max)``
-    of ``gamma_N - iJ``.
+    iterate ``gamma_N - iJ``; :func:`decide` compares each with
+    ``-decision_margin``.  ``scale_full`` is ``max(1, |lambda|_max)`` of
+    ``gamma_N - iJ``.
 
     ``margin_full`` and ``scale_full`` are not constructor fields: both
-    are read from one eigensolve of ``gamma_N - iJ`` that runs on first
-    access and is cached, because :func:`decide` settles the cone test
-    with a Cholesky gate and needs that eigensolve only when the gate
-    fails.
+    are read from one eigensolve of the pair ``A_N - iJ +/- iC_N``, whose
+    spectra make up that of ``gamma_N - iJ``, run on first access and
+    cached, because :func:`decide` settles the cone test with a Cholesky
+    gate and needs that eigensolve only when the gate fails.
     """
 
     index: int
@@ -117,25 +118,22 @@ class IterationStep:
     def margin_L(self) -> float:
         return self.margin_A - self.c_opnorm
 
-    def _full_minus_ij(self) -> np.ndarray:
-        """``gamma_N - iJ``, the matrix of the cone test, on ``n + n`` modes."""
-        gamma = np.block([[self.A, self.C], [self.C.T, self.A]])
-        return gamma - 1j * symplectic_form(self.A.shape[0])
+    def _cone_pair(self) -> np.ndarray:
+        """The ``(2, 2n, 2n)`` stack ``A_N - iJ + iC_N``, ``A_N - iJ - iC_N``."""
+        a, c = self.A, self.C
+        return a - 1j * (symplectic_form(a.shape[0] // 2) - np.stack((c, -c)))
 
     @cached_property
     def _eigs_full(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self._full_minus_ij())
+        return np.linalg.eigvalsh(self._cone_pair())
 
     @property
     def margin_full(self) -> float:
-        return float(self._eigs_full[0])
+        return float(self._eigs_full[:, 0].min())
 
     @property
     def scale_full(self) -> float:
         return max(1.0, float(np.abs(self._eigs_full).max()))
-
-    def as_cm(self) -> BipartiteCM:
-        return BipartiteCM.from_blocks(self.A, self.A, self.C)
 
 
 @dataclass(frozen=True)
@@ -157,8 +155,9 @@ class Verdict:
 
     ``margin`` is the eigenvalue margin of whichever test fired: below
     ``-decision_margin`` for ENTANGLED, at or above it for SEPARABLE.  For
-    an UNDECIDED verdict it is the final ``margin_L``, the distance still
-    missing for a separability verdict.
+    an UNDECIDED verdict of :func:`decide` it is the final ``margin_L``,
+    the distance still missing for a separability verdict; one of
+    :func:`decide_robust` carries the ``gamma - eps I`` run's margin.
     """
 
     kind: VerdictKind
@@ -222,12 +221,10 @@ def _left_cone(step: IterationStep, tol: ToleranceConfig) -> bool:
     ``gamma_N - iJ`` is the union of the spectra of ``A_N - iJ + iC_N``
     and ``A_N - iJ - iC_N``.  Cholesky factorizations of both halves,
     shifted by ``decision_margin``, therefore prove that the test cannot
-    fire; only when one of them fails does the exact eigensolve behind
-    ``margin_full`` run.
+    fire; only when one of them fails does the exact eigensolve of the
+    same pair behind ``margin_full`` run.
     """
-    a, c = step.A, step.C
-    halves = a - 1j * (symplectic_form(a.shape[0] // 2) - np.stack((c, -c)))
-    if _psd_by_cholesky(halves, tol.decision_margin):
+    if _psd_by_cholesky(step._cone_pair(), tol.decision_margin):
         return False
     return step.margin_full < -tol.decision_margin
 
@@ -280,10 +277,10 @@ def _shifted(cm: BipartiteCM, eps: float, perturbation: np.ndarray | None = None
 
 
 def _checked_perturbation(cm: BipartiteCM, perturbation, tol: ToleranceConfig) -> np.ndarray:
-    """``perturbation`` as a float array, if it is a PSD matrix of ``cm``'s size."""
-    pert = np.asarray(perturbation, dtype=float)
-    if pert.shape != (2 * (cm.n + cm.m),) * 2:
-        raise ValueError(f"perturbation has wrong shape {pert.shape}")
+    """``perturbation`` through the state's ingest rule, if it is PSD and of ``cm``'s size."""
+    if np.shape(perturbation) != (2 * (cm.n + cm.m),) * 2:
+        raise ValueError(f"perturbation has wrong shape {np.shape(perturbation)}")
+    pert = _ingest_symmetric(perturbation, "perturbation")
     if not psd_check(pert, tol).is_psd:
         raise ValueError("perturbation must be PSD")
     return pert
@@ -300,6 +297,9 @@ def decide_robust(cm: BipartiteCM, eps: float, tol: ToleranceConfig = DEFAULT_TO
     UNDECIDED ("undecided within eps").  When ``gamma - eps I`` is not a
     valid CM the negative side is skipped and the plain verdict on
     ``gamma`` itself is returned instead.
+
+    The trace is the deciding run's, so a SEPARABLE verdict's certificate
+    verifies against ``trace.gamma0 = gamma - eps I``, not ``gamma``.
     """
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
@@ -355,14 +355,15 @@ def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
     input returns ``0.0``.  The upper bracket is found by doubling from
     ``eps = min(1, eps_max)``, capped at ``eps_max``; no probe goes past
     it, and failing to find a bracket up to it raises
-    :class:`BracketError`.  An ``eps_max`` that is not positive and
-    finite raises ``ValueError``.
-    Bisection narrows the bracket to ``width`` and returns its midpoint.
-    UNDECIDED verdicts count as not-yet-separable, so the returned value
-    errs on the large side.
+    :class:`BracketError`.  An ``eps_max`` or ``width`` that is not
+    positive and finite raises ``ValueError``.  Bisection narrows the
+    bracket to ``width``, or to adjacent floats when their spacing is
+    wider (then the error bar), and returns its midpoint.  UNDECIDED
+    verdicts count as not separable, so the value errs on the large side.
     """
-    if not 0.0 < eps_max < np.inf:
-        raise ValueError(f"eps_max must be positive and finite, got {eps_max!r}")
+    for name, value in (("eps_max", eps_max), ("width", width)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     if perturbation is None:
         perturbation = np.eye(2 * (cm.n + cm.m))
     pert = _checked_perturbation(cm, perturbation, tol)
@@ -371,9 +372,7 @@ def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
     if base.kind is VerdictKind.SEPARABLE:
         return 0.0
     if base.kind is VerdictKind.UNDECIDED:
-        raise BracketError(
-            "verdict on the unperturbed state is undecided; no bracket exists"
-        )
+        raise BracketError("verdict on the unperturbed state is undecided; no bracket exists")
 
     def separable_at(eps: float) -> bool:
         verdict = decide(_shifted(cm, eps, pert), tol, max_iter)
@@ -382,14 +381,10 @@ def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
     lo, hi = 0.0, min(1.0, eps_max)
     while not separable_at(hi):
         if hi >= eps_max:
-            raise BracketError(
-                f"no separable bracket found up to eps_max={eps_max:g}"
-            )
+            raise BracketError(f"no separable bracket found up to eps_max={eps_max:g}")
         lo, hi = hi, min(2.0 * hi, eps_max)
-    while hi - lo > width:
+    mid = 0.5 * (lo + hi)
+    while hi - lo > width and lo < mid < hi:
+        lo, hi = (lo, mid) if separable_at(mid) else (mid, hi)
         mid = 0.5 * (lo + hi)
-        if separable_at(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return mid

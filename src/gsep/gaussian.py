@@ -69,9 +69,10 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 
 def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Block-diagonal ``a oplus b`` of two square matrices."""
-    return np.block([[a, np.zeros((len(a), len(b)))],
-                     [np.zeros((len(b), len(a))), b]])
+    """Block-diagonal ``a oplus b`` of two real square matrices."""
+    out = np.zeros((len(a) + len(b),) * 2)
+    out[:len(a), :len(a)], out[len(a):, len(a):] = a, b
+    return out
 
 
 def _ingest_symmetric(mat, name: str) -> np.ndarray:
@@ -80,10 +81,11 @@ def _ingest_symmetric(mat, name: str) -> np.ndarray:
         raise CMError(f"{name} must be square, got shape {arr.shape}")
     if arr.shape[0] % 2 != 0 or arr.shape[0] == 0:
         raise CMError(f"{name} must have even positive dimension, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
+    scale = float(np.abs(arr).max())  # NaN or inf exactly when an entry is
+    if not np.isfinite(scale):
         raise CMError(f"{name} contains non-finite entries")
     residual = float(np.abs(arr - arr.T).max())
-    if residual > _SYMMETRY_RTOL * max(1.0, float(np.abs(arr).max())):
+    if residual > _SYMMETRY_RTOL * max(1.0, scale):
         raise CMError(f"{name} is not symmetric (residual {residual:.3e})")
     sym = (arr + arr.T) / 2.0
     sym.flags.writeable = False

@@ -204,12 +204,13 @@ def test_criterion_5_trace_norm_monotone_and_floored():
           "floor 2n respected")
 
 
-def test_criterion_6_threshold_matches_transpose_bisection():
+def test_criterion_6_threshold_matches_transpose_bisection(probe_budget):
     with criterion(6):
         diffs = []
         for r in (0.05, 0.5, 1.0, 2.0):
             cm = tmss(r)
             d = cm.gamma.shape[0]
+            probe_budget.clear()
             thr = find_threshold(cm, None, TIGHT, width=1e-12)
             lo, hi = 0.0, 4.0
             assert ppt_check(BipartiteCM.from_gamma(cm.gamma + hi * np.eye(d), 1, 1),

@@ -24,7 +24,7 @@ from gsep.engine import (
     _shifted,
     decide,
 )
-from gsep.gaussian import BipartiteCM, symplectic_form, tmss
+from gsep.gaussian import BipartiteCM, CMError, symplectic_form, tmss
 from gsep.matlin import DEFAULT_TOL, pseudoinverse
 
 
@@ -120,7 +120,7 @@ class TestReconstructRandom:
             delta = deltas[step.index]
             eigs_cm = np.linalg.eigvalsh(delta - 1j * j)
             assert eigs_cm[0] >= -1e-8 * max(1.0, abs(eigs_cm[-1]))
-            diff = step.as_cm().gamma - block_diag(delta, delta)
+            diff = BipartiteCM.from_blocks(step.A, step.A, step.C).gamma - block_diag(delta, delta)
             eigs = np.linalg.eigvalsh(diff)
             assert eigs[0] >= -1e-8 * max(1.0, abs(eigs[-1]))
 
@@ -162,6 +162,17 @@ class TestReconstructFailures:
         with pytest.raises(CertificateError, match="kernel condition fails at step") as exc:
             reconstruct(trace)
         assert "residual 5.000e-01" in str(exc.value)
+
+    def test_gap_that_is_not_psd_reports_its_margin(self):
+        # one-step trace with delta_1 = 3 I above A_0 = 2 I, so
+        # A_0 - delta_1 = -I and the recursion cannot continue
+        step = IterationStep(index=1, A=3.0 * np.eye(2), C=np.zeros((2, 2)),
+                             margin_A=2.0, c_opnorm=0.0, a_trnorm=6.0)
+        gamma0 = BipartiteCM.from_blocks(2.0 * np.eye(2), 2.0 * np.eye(2), np.zeros((2, 2)))
+        trace = IterationTrace(gamma0, (step,), REASON_NORM_GAP_SEPARABLE)
+        with pytest.raises(CertificateError,
+                           match=r"A - delta at step 0 is not PSD \(margin -1.000e\+00\)"):
+            reconstruct(trace)
 
 
 class TestWitness:
@@ -247,6 +258,20 @@ class TestVerifyCertificate:
             quoted = re.escape(f"= {residual:.3e}")
             with pytest.raises(ValueError, match=rf"reproduce the state: .* {quoted}$"):
                 verify_certificate(cm, forged)
+
+    def test_blocks_go_through_the_ingest_rule(self):
+        # gamma_A + 1e6 J with the P that completes it reproduces the
+        # state, and the Hermitian parts pass all three PSD tests; only
+        # the symmetry check refuses it
+        cm, cert = self.planted()
+        tampered = cert.gamma_A + 1e6 * symplectic_form(2)
+        noise = cm.gamma - block_diag(tampered, cert.gamma_B)
+        with pytest.raises(CMError, match=r"gamma_A is not symmetric \(residual 2.000e\+06\)"):
+            verify_certificate(cm, SeparabilityCertificate(tampered, cert.gamma_B, noise))
+        bad_p = cert.P.copy()
+        bad_p[0, 0] = np.nan
+        with pytest.raises(CMError, match="P contains non-finite entries"):
+            verify_certificate(cm, SeparabilityCertificate(cert.gamma_A, cert.gamma_B, bad_p))
 
     def test_p_within_tolerance_cannot_raise_the_margin(self):
         # a P shifted within the tolerance is accepted, but the PSD test

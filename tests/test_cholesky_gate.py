@@ -86,10 +86,40 @@ def test_separable_run_skips_the_full_iterate_eigensolve(cm, monkeypatch):
     assert verdict.kind is VerdictKind.SEPARABLE
     full = 4 * cm.n
     assert shapes and (full, full) not in shapes
+    j = symplectic_form(cm.n)
     for step in verdict.trace.steps:
-        want = np.linalg.eigvalsh(step.as_cm().gamma - 1j * symplectic_form(2 * cm.n))
-        assert step.margin_full == float(want[0])
-        assert step.scale_full == max(1.0, float(np.abs(want).max()))
+        a, c = step.A, step.C
+        # the pair A - iJ +/- iC, whose spectra make up that of gamma_N - iJ
+        pair = np.linalg.eigvalsh(np.stack((a - 1j * j + 1j * c, a - 1j * j - 1j * c)))
+        assert step.margin_full == float(pair[:, 0].min())
+        assert step.scale_full == max(1.0, float(np.abs(pair).max()))
+        assembled = np.linalg.eigvalsh(
+            BipartiteCM.from_blocks(a, a, c).gamma - 1j * symplectic_form(2 * cm.n))
+        assert abs(step.margin_full - assembled[0]) <= 1e-12 * step.scale_full
+        assert (abs(step.scale_full - max(1.0, float(np.abs(assembled).max())))
+                <= 1e-12 * step.scale_full)
+
+
+@pytest.mark.parametrize("cm", [
+    engine._shifted(tmss(1.0), EPS_STAR_R1 - 1e-9),
+    engine._shifted(random_cm(2, 2, "mixed", seed=1), 0.2),  # threshold about 0.2098
+], ids=["tmss-below-threshold", "near-threshold-2x2"])
+def test_cone_exit_runs_no_eigensolve_wider_than_the_a_block(cm, monkeypatch):
+    # the cone test solves the pair A_N - iJ +/- iC_N, never the 4n x 4n
+    # gamma_N - iJ, and the input check passes its Cholesky gate
+    widths = []
+    for name in ("eigvalsh", "eigh"):
+        solver = getattr(np.linalg, name)
+
+        def recording(mat, *args, _solver=solver, **kwargs):
+            widths.append(np.shape(mat)[-1])
+            return _solver(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    verdict = decide(cm)
+    monkeypatch.undo()
+    assert verdict.reason == engine.REASON_CONE_ENTANGLED
+    assert widths and max(widths) == 2 * cm.n
 
 
 def test_gate_decides_clear_cases():

@@ -205,12 +205,21 @@ class TestSweep:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("spec", ["0.5:1.0", "0:1:3:lin"])
+    def test_malformed_grid_spec_names_the_format(self, tmp_path, capsys, spec):
+        code, _, err = run(capsys, "sweep", "--eps-grid", spec,
+                           "--input", write_cm(tmp_path, tmss(1.0)))
+        assert code == 2
+        assert err.startswith(f"error: --eps-grid must look like LO:HI:POINTS or "
+                              f"LO:HI:POINTS:log, got {spec!r}")
+
     def test_missing_eps_arguments(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--input", write_cm(tmp_path, tmss(1.0)))
         assert code == 2
         assert "sweep needs" in err
 
 
+@pytest.mark.usefixtures("probe_budget")
 class TestThreshold:
     def test_tmss_identity_threshold(self, tmp_path, capsys):
         code, out, _ = run(capsys, "threshold",

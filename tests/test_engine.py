@@ -308,7 +308,7 @@ class TestIterationInvariants:
             verdict = decide(cm)
             assert verdict.kind is VerdictKind.SEPARABLE
             for step in verdict.trace.steps:
-                diff = step.as_cm().gamma - floor
+                diff = BipartiteCM.from_blocks(step.A, step.A, step.C).gamma - floor
                 eigs = np.linalg.eigvalsh(diff)
                 assert eigs[0] >= -1e-8 * max(1.0, abs(eigs[-1]))
 
@@ -367,6 +367,27 @@ class TestDecideRobust:
         verdict = decide_robust(cm, eps=1e-2)
         assert verdict.kind is VerdictKind.UNDECIDED
         assert "within eps" in verdict.reason
+
+    def test_separable_evidence_belongs_to_the_shifted_state(self):
+        cm = random_separable_cm(1, 1, seed=0)[0]
+        verdict = decide_robust(cm, 1e-3)
+        assert verdict.kind is VerdictKind.SEPARABLE
+        shrunk = verdict.trace.gamma0
+        assert np.array_equal(shrunk.gamma, engine._shifted(cm, -1e-3).gamma)
+        cert = reconstruct(verdict.trace)
+        assert verify_certificate(shrunk, cert).valid
+        with pytest.raises(ValueError, match=r"does not reproduce the state: .* 1.000e-03$"):
+            verify_certificate(cm, cert)
+
+    def test_undecided_margin_is_the_shrunk_run_margin(self):
+        # at the threshold, +eps is separable and -eps leaves the cone
+        cm = noisy_tmss(1.0, 0.0)
+        verdict = decide_robust(cm, 1e-3)
+        minus = decide(engine._shifted(cm, -1e-3))
+        assert verdict.kind is VerdictKind.UNDECIDED
+        assert minus.reason == REASON_CONE_ENTANGLED
+        assert verdict.margin == minus.margin == minus.trace.steps[-1].margin_full
+        assert verdict.margin == pytest.approx(-2e-3, rel=1e-3)
 
     def test_rejects_non_positive_eps(self):
         with pytest.raises(ValueError, match="eps"):
@@ -430,20 +451,31 @@ class TestSweep:
         with pytest.raises(ValueError, match="PSD"):
             sweep(tmss(1.0), -np.eye(4), [0.1])
 
+    def test_rejects_asymmetric_perturbation(self):
+        # refused by the state's ingest rule before any probe
+        pert = np.eye(4) + 0.25 * _direct_sum(J1, J1)
+        for search in (lambda: sweep(tmss(1.0), pert, [0.1]),
+                       lambda: find_threshold(tmss(1.0), pert)):
+            with pytest.raises(gaussian.CMError,
+                               match=r"perturbation is not symmetric \(residual 5.000e-01\)"):
+                search()
+
     def test_rejects_wrong_perturbation_shape(self):
         with pytest.raises(ValueError, match="shape"):
             sweep(tmss(1.0), np.eye(8), [0.1])
 
 
+@pytest.mark.usefixtures("probe_budget")
 class TestFindThreshold:
     def test_already_separable_returns_zero(self):
         assert find_threshold(vacuum()) == 0.0
 
-    def test_tmss_identity_threshold(self):
+    def test_tmss_identity_threshold(self, probe_budget):
         # the exact value is 1 - exp(-2r); margin_L is about twice the
         # transpose-test margin, so the separable test fires from
         # decision_margin / 2 below it
         for r in (0.05, 0.5, 1.0, 2.0):
+            probe_budget.clear()
             threshold = find_threshold(tmss(r))
             assert abs(threshold - (1.0 - np.exp(-2.0 * r))) <= DEFAULT_TOL.decision_margin, r
 
@@ -463,6 +495,22 @@ class TestFindThreshold:
             assert decide(engine._shifted(cm, hi)).kind is VerdictKind.SEPARABLE
             assert decide(engine._shifted(cm, lo)).kind is not VerdictKind.SEPARABLE
         assert lo < EPS_STAR_R1 + 1e-6 and hi > EPS_STAR_R1 - 1e-6
+
+    def test_threshold_coarser_than_width_returns(self, probe_budget):
+        # 1e4 (1 - exp(-2)) has float spacing 1.8e-12, wider than the
+        # default width, so bisection stops at adjacent floats
+        threshold = find_threshold(tmss(1.0), 1e-4 * np.eye(4))
+        assert abs(threshold / (1e4 * EPS_STAR_R1) - 1.0) <= 1e-8
+        assert len(probe_budget) < 80
+
+    def test_width_below_float_spacing_returns(self):
+        threshold = find_threshold(tmss(1.0), width=1e-17)
+        assert abs(threshold - EPS_STAR_R1) <= DEFAULT_TOL.decision_margin
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_width_that_bounds_nothing(self, width):
+        with pytest.raises(ValueError, match="width must be positive and finite"):
+            find_threshold(tmss(1.0), width=width)
 
     def test_zero_perturbation_never_brackets(self):
         with pytest.raises(BracketError, match="eps_max"):

@@ -101,6 +101,10 @@ class TestValidateCm:
         with pytest.raises(CMError, match="non-finite"):
             validate_cm(bad)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(CMError, match=r"gamma must be square, got shape \(4, 6\)"):
+            validate_cm(np.zeros((4, 6)))
+
     def test_noise_keeps_validity(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -142,6 +146,10 @@ class TestBipartiteCM:
     def test_from_blocks_shape_check(self):
         with pytest.raises(CMError, match="incompatible"):
             BipartiteCM.from_blocks(np.eye(2), np.eye(2), np.zeros((2, 4)))
+
+    def test_from_blocks_rejects_non_finite_coupling(self):
+        with pytest.raises(CMError, match="C contains non-finite entries"):
+            BipartiteCM.from_blocks(np.eye(2), np.eye(2), np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
     def test_block_validity_of_valid_state(self):
         # the blocks of a valid state are valid single-party states
