@@ -154,7 +154,7 @@ def witness(trace: IterationTrace) -> tuple[float, np.ndarray]:
             f"(trace ended with: {trace.reason!r})"
         )
     a, c = trace.steps[-1].A, trace.steps[-1].C
-    mat = (np.block([[a, c], [c.T, a]]) - 1j * symplectic_form(a.shape[0])
+    mat = (_direct_sum(a, a, c) - 1j * symplectic_form(a.shape[0])
            if trace.reason == REASON_CONE_ENTANGLED else a - 1j * symplectic_form(a.shape[0] // 2))
     eigs, vecs = np.linalg.eigh(mat)
     return float(eigs[0]), vecs[:, 0]

@@ -54,11 +54,15 @@ def _write(text: str, path: str | None) -> None:
 
 def _parse_eps_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
-    if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
+    try:  # an integer POINTS literal, finite bounds, and an optional "log"
+        lo, hi, points = float(parts[0]), float(parts[1]), int(parts[2])
+        well_formed = parts[3:] in ([], ["log"]) and abs(lo) < np.inf and abs(hi) < np.inf
+    except (IndexError, ValueError):
+        well_formed = False
+    if not well_formed:
         raise ValueError(
             f"--eps-grid must look like LO:HI:POINTS or LO:HI:POINTS:log, got {spec!r}"
         )
-    lo, hi, points = float(parts[0]), float(parts[1]), int(parts[2])
     if points < 2 or not lo < hi:
         raise ValueError("--eps-grid needs LO < HI and at least 2 points")
     if len(parts) == 4:

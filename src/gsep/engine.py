@@ -191,7 +191,8 @@ def map_step(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, validate: bool
     if validate:
         _require_cm(cm, tol)
     j_m = symplectic_form(cm.m)
-    x = cm.C @ pseudoinverse(cm.B - 1j * j_m, tol) @ cm.C.T
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports it
+        x = cm.C @ pseudoinverse(cm.B - 1j * j_m, tol) @ cm.C.T
     if not np.all(np.isfinite(x)):
         raise NumericalError("map produced a non-finite Schur complement")
     a_next = cm.A - x.real
@@ -288,7 +289,7 @@ def _checked_perturbation(cm: BipartiteCM, perturbation, tol: ToleranceConfig) -
 
 def decide_robust(cm: BipartiteCM, eps: float, tol: ToleranceConfig = DEFAULT_TOL,
                   max_iter: int = 200) -> Verdict:
-    """Decide separability up to an ``eps``-sized identity perturbation.
+    """Decide separability up to an ``eps``-sized identity perturbation, ``0 < eps < inf``.
 
     Runs :func:`decide` on ``gamma + eps I`` and, if needed, on
     ``gamma - eps I``.  Only two inferences are drawn: entangled for the
@@ -301,8 +302,8 @@ def decide_robust(cm: BipartiteCM, eps: float, tol: ToleranceConfig = DEFAULT_TO
     The trace is the deciding run's, so a SEPARABLE verdict's certificate
     verifies against ``trace.gamma0 = gamma - eps I``, not ``gamma``.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     plus = decide(_shifted(cm, +eps), tol, max_iter)
     if plus.kind is VerdictKind.ENTANGLED:
         return Verdict(plus.kind, plus.step, plus.margin,

@@ -68,10 +68,11 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return j
 
 
-def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Block-diagonal ``a oplus b`` of two real square matrices."""
-    out = np.zeros((len(a) + len(b),) * 2)
-    out[:len(a), :len(a)], out[len(a):, len(a):] = a, b
+def _direct_sum(a: np.ndarray, b: np.ndarray, c=0.0) -> np.ndarray:
+    """The one builder of ``[[a, c], [c^T, b]]``, by default ``a oplus b``: four slice writes."""
+    k = len(a)
+    out = np.empty((k + len(b),) * 2)
+    out[:k, :k], out[:k, k:], out[k:, :k], out[k:, k:] = a, c, np.transpose(c), b
     return out
 
 
@@ -109,8 +110,9 @@ class BipartiteCM:
 
     @classmethod
     def from_blocks(cls, block_a, block_b, block_c) -> "BipartiteCM":
+        """Ingest the blocks; a block passed as both ``A`` and ``B`` is ingested once."""
         a = _ingest_symmetric(block_a, "A")
-        b = _ingest_symmetric(block_b, "B")
+        b = a if block_b is block_a else _ingest_symmetric(block_b, "B")
         c = np.asarray(block_c, dtype=float)
         if not np.all(np.isfinite(c)):
             raise CMError("C contains non-finite entries")
@@ -138,7 +140,7 @@ class BipartiteCM:
     @property
     def gamma(self) -> np.ndarray:
         """The assembled matrix ``[[A, C], [C^T, B]]``."""
-        return np.vstack([np.hstack([self.A, self.C]), np.hstack([self.C.T, self.B])])
+        return _direct_sum(self.A, self.B, self.C)
 
 
 def validate_cm(gamma, tol: ToleranceConfig = DEFAULT_TOL) -> PsdReport:

@@ -1,19 +1,20 @@
 """Positive-partial-transpose test at the correlation-matrix level.
 
-Partial transposition acts on a CM by flipping the momentum quadratures
-of the second subsystem.  A separable state stays a valid CM under this
-flip, so a failed test proves entanglement.  For one mode on each side
-the test is also sufficient: passing it proves separability.  For larger
-systems it is necessary only; the decision iteration in
-:mod:`gsep.engine` is strictly stronger there.
+Partial transposition conjugates a CM with ``F = I oplus momentum_flip(m)``,
+turning ``J_B`` into ``-J_B``, so ``gamma_pt - iJ = F (gamma - i(J_A oplus
+-J_B)) F`` and the test reads the inner matrix, built from the state.  A
+failure proves entanglement; with one mode per side a pass proves
+separability; beyond that the :mod:`gsep.engine` iteration is strictly stronger.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .gaussian import BipartiteCM, _require_cm, partial_transpose, validate_cm
-from .matlin import DEFAULT_TOL, ToleranceConfig
+import numpy as np
+
+from .gaussian import BipartiteCM, _direct_sum, _require_cm, symplectic_form
+from .matlin import DEFAULT_TOL, ToleranceConfig, _psd_rule
 
 __all__ = ["PptReport", "ppt_check"]
 
@@ -27,10 +28,11 @@ def ppt_check(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL) -> PptReport:
     """Test whether the partial transpose of ``cm`` is a valid CM.
 
     The input must itself be a valid CM; anything else raises
-    :class:`~gsep.gaussian.InvalidCMError`.  ``margin`` is the smallest
-    eigenvalue of ``gamma_pt - iJ``; a decisively negative value proves
-    the state entangled.
+    :class:`~gsep.gaussian.InvalidCMError`.  One eigensolve of ``gamma -
+    i(J_A oplus -J_B)`` gives ``margin``, its smallest eigenvalue, and
+    ``ppt``, the PSD rule; a decisively negative margin proves entanglement.
     """
     _require_cm(cm, tol)
-    flipped = validate_cm(partial_transpose(cm), tol)
-    return PptReport(flipped.is_psd, flipped.lambda_min)
+    eigs = np.linalg.eigvalsh(cm.gamma - 1j * _direct_sum(symplectic_form(cm.n),
+                                                         -symplectic_form(cm.m)))
+    return PptReport(_psd_rule(eigs, tol), float(eigs[0]))

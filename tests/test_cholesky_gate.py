@@ -79,10 +79,10 @@ def test_gated_runs_equal_the_exact_path(monkeypatch):
 @pytest.mark.parametrize("cm", [random_separable_cm(2, 1, seed=4)[0],
                                 random_cm(2, 1, "mixed", seed=0)],
                          ids=["planted-one-step", "mixed-three-steps"])
-def test_separable_run_skips_the_full_iterate_eigensolve(cm, monkeypatch):
-    shapes = _recording_eigvalsh(monkeypatch)
+def test_separable_run_skips_the_full_iterate_eigensolve(cm, monkeypatch, lapack_calls):
     verdict = decide(cm)
     monkeypatch.undo()
+    shapes = lapack_calls.shapes("eigvalsh")
     assert verdict.kind is VerdictKind.SEPARABLE
     full = 4 * cm.n
     assert shapes and (full, full) not in shapes
@@ -104,20 +104,12 @@ def test_separable_run_skips_the_full_iterate_eigensolve(cm, monkeypatch):
     engine._shifted(tmss(1.0), EPS_STAR_R1 - 1e-9),
     engine._shifted(random_cm(2, 2, "mixed", seed=1), 0.2),  # threshold about 0.2098
 ], ids=["tmss-below-threshold", "near-threshold-2x2"])
-def test_cone_exit_runs_no_eigensolve_wider_than_the_a_block(cm, monkeypatch):
+def test_cone_exit_runs_no_eigensolve_wider_than_the_a_block(cm, monkeypatch, lapack_calls):
     # the cone test solves the pair A_N - iJ +/- iC_N, never the 4n x 4n
     # gamma_N - iJ, and the input check passes its Cholesky gate
-    widths = []
-    for name in ("eigvalsh", "eigh"):
-        solver = getattr(np.linalg, name)
-
-        def recording(mat, *args, _solver=solver, **kwargs):
-            widths.append(np.shape(mat)[-1])
-            return _solver(mat, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recording)
     verdict = decide(cm)
     monkeypatch.undo()
+    widths = [shape[-1] for shape in lapack_calls.shapes("eigvalsh", "eigh")]
     assert verdict.reason == engine.REASON_CONE_ENTANGLED
     assert widths and max(widths) == 2 * cm.n
 
@@ -164,19 +156,6 @@ def test_gate_pass_implies_psd_check(case):
         assert eigs[0] >= -DEFAULT_TOL.psd_tol * max(1.0, float(np.abs(eigs).max()))
 
 
-def _recording_eigvalsh(monkeypatch):
-    """Patch ``np.linalg.eigvalsh`` to record the shape of every input."""
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def recording(mat, *args, **kwargs):
-        shapes.append(np.shape(mat))
-        return eigvalsh(mat, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    return shapes
-
-
 @pytest.mark.parametrize("mat", [
     np.diag([3.0, 1.0, 2.0]),                      # gate passes
     np.array([[2.0, 1.0 + 1e-13], [1.0, 1.0]]),    # gate passes, asymmetric input
@@ -185,10 +164,9 @@ def _recording_eigvalsh(monkeypatch):
     np.diag([1.0, -1e-7]),                         # gate fails, not PSD
     0.5 * np.eye(2) - 1j * symplectic_form(1),     # gate fails, not PSD
 ], ids=["diag", "asymmetric", "tmss", "tolerance-negative", "negative", "invalid-cm"])
-def test_lambda_min_equals_the_eigensolve(mat, monkeypatch):
-    shapes = _recording_eigvalsh(monkeypatch)
+def test_lambda_min_equals_the_eigensolve(mat, monkeypatch, lapack_calls):
     report = psd_check(mat)
-    solved_at_check = len(shapes)
+    solved_at_check = len(lapack_calls.shapes("eigvalsh"))
     got = report.lambda_min
     monkeypatch.undo()
     assert solved_at_check == (0 if report.is_psd else 1)
@@ -196,24 +174,25 @@ def test_lambda_min_equals_the_eigensolve(mat, monkeypatch):
     assert report.lambda_min == got  # cached, not solved again
 
 
-def test_decide_skips_the_input_sized_eigensolve(monkeypatch):
+def test_decide_skips_the_input_sized_eigensolve(monkeypatch, lapack_calls):
     cm = random_cm(2, 1, "mixed", seed=0)
-    shapes = _recording_eigvalsh(monkeypatch)
+    lapack_calls.clear()
     decide(cm)
     monkeypatch.undo()
+    shapes = lapack_calls.shapes("eigvalsh")
     assert shapes and (6, 6) not in shapes
 
 
-def test_verify_certificate_solves_margins_on_first_read(monkeypatch):
+def test_verify_certificate_solves_margins_on_first_read(monkeypatch, lapack_calls):
     cm = random_separable_cm(2, 1, seed=4)[0]
     cert = reconstruct(decide(cm).trace)
-    shapes = _recording_eigvalsh(monkeypatch)
+    lapack_calls.clear()
     report = verify_certificate(cm, cert)
     assert report.valid
-    assert shapes == []
+    assert lapack_calls.shapes("eigvalsh") == []
     margins = report.margins
     monkeypatch.undo()
-    assert shapes == [(4, 4), (2, 2), (6, 6)]
+    assert lapack_calls.shapes("eigvalsh") == [(4, 4), (2, 2), (6, 6)]
     gamma_a, gamma_b = cert.gamma_A, cert.gamma_B
     want = (
         np.linalg.eigvalsh(hermitian_part(gamma_a - 1j * symplectic_form(2)))[0],

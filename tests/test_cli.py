@@ -205,7 +205,8 @@ class TestSweep:
         assert code == 2
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("spec", ["0.5:1.0", "0:1:3:lin"])
+    @pytest.mark.parametrize("spec", ["0.5:1.0", "0:1:3:lin", "0:inf:3", "0:1:2.5", "0:1:1e9",
+                                      "1e-3:1:nan"])
     def test_malformed_grid_spec_names_the_format(self, tmp_path, capsys, spec):
         code, _, err = run(capsys, "sweep", "--eps-grid", spec,
                            "--input", write_cm(tmp_path, tmss(1.0)))

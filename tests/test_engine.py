@@ -88,6 +88,16 @@ class TestMapStep:
         np.testing.assert_array_equal(out.B, out.A)
         np.testing.assert_array_equal(out.C, -out.C.T)
 
+    def test_iterate_shares_its_a_block_as_b(self):
+        out = map_step(tmss(0.5))
+        assert out.B is out.A
+
+    def test_overflowing_schur_complement_is_a_numerical_error(self):
+        # the product overflows to inf; the caller gets NumericalError, not a warning
+        cm = BipartiteCM.from_blocks(2 * np.eye(2), 2 * np.eye(2), 1e200 * np.eye(2))
+        with pytest.raises(engine.NumericalError, match="non-finite"):
+            map_step(cm, validate=False)
+
     def test_rejects_invalid_input(self):
         bad = BipartiteCM.from_blocks(0.5 * np.eye(2), 0.5 * np.eye(2), np.zeros((2, 2)))
         with pytest.raises(InvalidCMError, match="not a state"):
@@ -390,8 +400,9 @@ class TestDecideRobust:
         assert verdict.margin == pytest.approx(-2e-3, rel=1e-3)
 
     def test_rejects_non_positive_eps(self):
-        with pytest.raises(ValueError, match="eps"):
-            decide_robust(vacuum(), eps=0.0)
+        for eps in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eps"):
+                decide_robust(vacuum(), eps=eps)
 
     def test_shrunk_state_is_validated_once(self, monkeypatch):
         # the decide on gamma - eps I validates it; no separate pre-check

@@ -67,6 +67,17 @@ def test_direct_sum_matches_scipy_block_diag_exactly():
         np.testing.assert_array_equal(out, block_diag(a, b))
 
 
+@pytest.mark.parametrize("n, m", [(1, 2), (3, 1)])
+def test_block_builder_matches_np_block_for_a_rectangular_coupling(n, m):
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((2 * n, 2 * n))
+    b = rng.standard_normal((2 * m, 2 * m))
+    c = rng.standard_normal((2 * n, 2 * m))
+    np.testing.assert_array_equal(_direct_sum(a, b, c), np.block([[a, c], [c.T, b]]))
+    cm = BipartiteCM.from_blocks(a + a.T, b + b.T, c)
+    np.testing.assert_array_equal(cm.gamma, np.block([[cm.A, c], [c.T, cm.B]]))
+
+
 class TestValidateCm:
     def test_vacuum_is_boundary_valid(self):
         report = validate_cm(np.eye(4))
@@ -150,6 +161,10 @@ class TestBipartiteCM:
     def test_from_blocks_rejects_non_finite_coupling(self):
         with pytest.raises(CMError, match="C contains non-finite entries"):
             BipartiteCM.from_blocks(np.eye(2), np.eye(2), np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+    def test_distinct_b_block_is_still_checked(self):
+        with pytest.raises(CMError, match="B is not symmetric"):
+            BipartiteCM.from_blocks(np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros((2, 2)))
 
     def test_block_validity_of_valid_state(self):
         # the blocks of a valid state are valid single-party states

@@ -7,7 +7,7 @@ import pytest
 
 from gsep.engine import VerdictKind, decide
 from _expm_fixtures import random_cm, random_separable_cm
-from gsep.gaussian import InvalidCMError, tmss
+from gsep.gaussian import BipartiteCM, InvalidCMError, partial_transpose, tmss, validate_cm
 from gsep.io import load_cm
 from gsep.ppt import ppt_check
 
@@ -59,6 +59,40 @@ class TestPptCheck:
             assert verdict.kind is expected
             judged += 1
         assert judged >= 80
+
+
+def reference_population():
+    """Criterion 3's 1+1 draws, the 2+2 draws of the gate tests, tmss and the fixture."""
+    rng = np.random.default_rng(303)
+    states = [random_cm(1, 1, "mixed", rng=rng) for _ in range(500)]
+    rng = np.random.default_rng(2024)
+    states += [random_cm(2, 2, "mixed", rng=rng) for _ in range(60)]
+    return states + [tmss(r) for r in (0.1, 0.5, 1.0, 2.0)] + [load_cm(FIXTURE)]
+
+
+def test_margin_equals_the_partial_transpose_reference():
+    for k, cm in enumerate(reference_population()):
+        report, reference = ppt_check(cm), validate_cm(partial_transpose(cm))
+        assert report == (reference.is_psd, reference.lambda_min), k
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BipartiteCM.from_gamma(tmss(0.3).gamma + 0.8 * np.eye(4), 1, 1),
+    lambda: tmss(1.0),
+    lambda: load_cm(FIXTURE),
+], ids=["ppt-1x1", "tmss", "werner-wolf"])
+def test_one_factorization_one_eigensolve_and_no_second_state(make, monkeypatch, lapack_calls):
+    cm = make()
+    built = []
+    from_blocks = BipartiteCM.from_blocks
+    monkeypatch.setattr(BipartiteCM, "from_blocks",
+                        classmethod(lambda cls, *blocks: built.append(None) or from_blocks(*blocks)))
+    lapack_calls.clear()
+    ppt_check(cm)
+    monkeypatch.undo()
+    dim = 2 * (cm.n + cm.m)
+    assert lapack_calls == [("cholesky", (dim, dim)), ("eigvalsh", (dim, dim))]
+    assert built == []
 
 
 @pytest.mark.skipif(not FIXTURE.exists(), reason="bundled PPT-entangled fixture not present")
