@@ -2,9 +2,11 @@
 
 Subcommands: ``check`` (verdict for one state), ``certify`` (verdict plus
 an explicit certificate or witness), ``sweep`` (verdicts along a noise
-ray, CSV), ``threshold`` (bisection for the separability threshold), and
-``gen`` (fixture generation).  Exit codes: 0 when a result was computed,
-2 on malformed or invalid input, 3 on numerical failure.
+ray, CSV), ``threshold`` (the separability threshold along a noise ray:
+a transpose-test bracket confirmed by one verdict, else bisection on
+verdicts), and ``gen`` (fixture generation).  Exit codes: 0 when a
+result was computed, 2 on malformed or invalid input, 3 on numerical
+failure.
 """
 
 from __future__ import annotations
@@ -197,8 +199,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="stop at the first separable verdict")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("threshold", parents=[common],
-                       help="bisect for the smallest separating eps")
+    p = sub.add_parser(
+        "threshold", parents=[common],
+        help="smallest eps making gamma + eps*P separable",
+        description="Smallest eps making gamma + eps*P separable.  A state that fails "
+                    "the transpose test has its transpose threshold bracketed by "
+                    "Cholesky factorizations, and one verdict at the bracket's top "
+                    "confirms it; otherwise, and for states that pass the transpose "
+                    "test, the search bisects on verdicts.")
     p.add_argument("--perturbation",
                    help="CM JSON file with the PSD perturbation (default identity)")
     p.add_argument("--eps-max", type=float, default=1e6,
@@ -207,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", parents=[output], help="generate fixture states")
     p.add_argument("kind", choices=["tmss", "random", "separable"])
-    p.add_argument("--r", type=float, default=1.0, help="squeezing for tmss")
+    p.add_argument("--r", type=float, default=1.0, help="squeezing for tmss, 0 <= r <= 354")
     p.add_argument("--n", type=int, default=1, help="modes on the first side")
     p.add_argument("--m", type=int, default=1, help="modes on the second side")
     p.add_argument("--purity", choices=["pure", "mixed"], default="mixed")

@@ -41,11 +41,13 @@ from .matlin import (
     DEFAULT_TOL,
     ToleranceConfig,
     _psd_by_cholesky,
+    _psd_rule,
     operator_norm,
     pseudoinverse,
     psd_check,
     trace_norm,
 )
+from .ppt import _flipped
 
 __all__ = [
     "BracketError",
@@ -347,20 +349,54 @@ def sweep(cm: BipartiteCM, perturbation: np.ndarray, eps_grid,
     return points
 
 
+def _bisect(holds, eps_max: float, width: float) -> tuple[float, float]:
+    """Bracket ``[lo, hi]`` of the smallest ``eps`` where ``holds(eps)``.
+
+    ``holds`` must be monotone along the ray and false at ``0``.  The
+    upper end doubles from ``min(1, eps_max)``, capped at ``eps_max``; no
+    probe goes past it, and ``holds`` false there raises
+    :class:`BracketError`.  Bisection then narrows the bracket to
+    ``width``, or to adjacent floats when their spacing is wider.
+    """
+    lo, hi = 0.0, min(1.0, eps_max)
+    while not holds(hi):
+        if hi >= eps_max:
+            raise BracketError(f"no separable bracket found up to eps_max={eps_max:g}")
+        lo, hi = hi, min(2.0 * hi, eps_max)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > width and lo < mid < hi:
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+        mid = 0.5 * (lo + hi)
+    return lo, hi
+
+
 def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
                    tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 200,
                    eps_max: float = 1e6, width: float = 1e-12) -> float:
     """Smallest ``eps`` such that ``gamma + eps P`` is separable, by bisection.
 
     ``perturbation`` defaults to the identity.  An already-separable
-    input returns ``0.0``.  The upper bracket is found by doubling from
-    ``eps = min(1, eps_max)``, capped at ``eps_max``; no probe goes past
-    it, and failing to find a bracket up to it raises
-    :class:`BracketError`.  An ``eps_max`` or ``width`` that is not
-    positive and finite raises ``ValueError``.  Bisection narrows the
-    bracket to ``width``, or to adjacent floats when their spacing is
-    wider (then the error bar), and returns its midpoint.  UNDECIDED
-    verdicts count as not separable, so the value errs on the large side.
+    input returns ``0.0``.  An ``eps_max`` or ``width`` that is not
+    positive and finite raises ``ValueError``.
+
+    No separable state fails the transpose test, so no threshold lies
+    below ``eps_PPT``, the smallest ``eps`` at which ``gamma + eps P``
+    passes it.  For an input that fails the test, ``eps_PPT`` is
+    bracketed first, by Cholesky factorizations of the transpose-test
+    matrix with no :func:`decide` call, and one :func:`decide` at the
+    bracket's top confirms it: if SEPARABLE, the midpoint is returned,
+    never below ``eps_PPT`` by more than ``width`` plus the rounding of
+    a factorization, of order ``d * machine eps * ||gamma||``.
+    Otherwise, and for inputs that pass the test, the search bisects on
+    :func:`decide` verdicts; UNDECIDED ones count as not separable, so
+    that value errs on the large side.
+
+    Either search doubles its upper end from ``min(1, eps_max)``, capped
+    at ``eps_max``, and no probe goes past it; no bracket up to it raises
+    :class:`BracketError`, with no further :func:`decide` when the
+    transpose test still fails there.  Bisection narrows the bracket to
+    ``width``, or to adjacent floats when their spacing is wider (then
+    the error bar), and returns its midpoint.
     """
     for name, value in (("eps_max", eps_max), ("width", width)):
         if not 0.0 < value < np.inf:
@@ -379,13 +415,11 @@ def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
         verdict = decide(_shifted(cm, eps, pert), tol, max_iter)
         return verdict.kind is VerdictKind.SEPARABLE
 
-    lo, hi = 0.0, min(1.0, eps_max)
-    while not separable_at(hi):
-        if hi >= eps_max:
-            raise BracketError(f"no separable bracket found up to eps_max={eps_max:g}")
-        lo, hi = hi, min(2.0 * hi, eps_max)
-    mid = 0.5 * (lo + hi)
-    while hi - lo > width and lo < mid < hi:
-        lo, hi = (lo, mid) if separable_at(mid) else (mid, hi)
-        mid = 0.5 * (lo + hi)
-    return mid
+    flipped = _flipped(cm)
+    if not _psd_rule(np.linalg.eigvalsh(flipped), tol):  # ppt_check's verdict: NPT
+        lo, hi = _bisect(lambda eps: _psd_by_cholesky(flipped + eps * pert, 0.0),
+                         eps_max, width)
+        if separable_at(hi):
+            return 0.5 * (lo + hi)
+    lo, hi = _bisect(separable_at, eps_max, width)
+    return 0.5 * (lo + hi)

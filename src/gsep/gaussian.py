@@ -45,6 +45,9 @@ class InvalidCMError(CMError):
 
 # Bound on the per-mode squeezing of random_symplectic.
 _SQUEEZE_MAX = 1.0
+# Largest tmss squeezing: cosh(2r) stays below half the largest float, so
+# symmetrizing the state's blocks cannot overflow.
+_TMSS_R_MAX = 354.0
 
 # One read-only J per mode count: the iteration asks for J several times
 # per step, and rebuilding it with np.kron costs tens of microseconds.
@@ -167,13 +170,15 @@ def _require_cm(cm, tol: ToleranceConfig) -> None:
 
 
 def tmss(r: float) -> BipartiteCM:
-    """Two-mode squeezed state with squeezing parameter ``r >= 0``.
+    """Two-mode squeezed state with squeezing parameter ``0 <= r <= 354``.
 
     Blocks: ``A = B = cosh(2r) I``, ``C = sinh(2r) diag(1, -1)``.
-    At ``r = 0`` this is the two-mode vacuum.
+    At ``r = 0`` this is the two-mode vacuum.  Any other ``r``, NaN
+    included, raises ``ValueError``: above the cap ``cosh(2r)`` exceeds
+    half the largest float, and the state's entries would overflow.
     """
-    if r < 0:
-        raise ValueError(f"squeezing parameter must be >= 0, got {r}")
+    if not 0.0 <= r <= _TMSS_R_MAX:
+        raise ValueError(f"squeezing parameter r must lie in [0, {_TMSS_R_MAX:g}], got {r!r}")
     ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
     return BipartiteCM.from_blocks(
         ch * np.eye(2), ch * np.eye(2), sh * np.diag([1.0, -1.0])
@@ -247,13 +252,19 @@ def random_covariance(
     return _ingest_symmetric(gamma, "gamma")
 
 
+def _require_mode_split(n: int, m: int) -> None:
+    if not (n >= 1 and m >= 1):
+        raise ValueError(f"both parties need at least one mode, got n={n!r} and m={m!r}")
+
+
 def random_cm(
     n: int,
     m: int,
     purity: str = "mixed",
     seed: int | np.random.Generator | None = None,
 ) -> BipartiteCM:
-    """Random valid bipartite correlation matrix on ``n + m`` modes."""
+    """Random valid bipartite correlation matrix on ``n + m`` modes, ``n, m >= 1``."""
+    _require_mode_split(n, m)
     gamma = random_covariance(n + m, purity=purity, seed=seed)
     return BipartiteCM.from_gamma(gamma, n, m)
 
@@ -271,6 +282,7 @@ def random_separable_cm(
     assembled state together with the planted ``gamma_A`` and
     ``gamma_B`` for use as ground truth in tests.
     """
+    _require_mode_split(n, m)
     gen = np.random.default_rng(seed)
     gamma_a = random_covariance(n, "mixed", seed=gen)
     gamma_b = random_covariance(m, "mixed", seed=gen)

@@ -2,9 +2,12 @@
 
 Partial transposition conjugates a CM with ``F = I oplus momentum_flip(m)``,
 turning ``J_B`` into ``-J_B``, so ``gamma_pt - iJ = F (gamma - i(J_A oplus
--J_B)) F`` and the test reads the inner matrix, built from the state.  A
-failure proves entanglement; with one mode per side a pass proves
-separability; beyond that the :mod:`gsep.engine` iteration is strictly stronger.
+-J_B)) F`` and the test reads the inner matrix, ``_flipped(cm)``.  Along
+a ray, ``(gamma + eps P)_pt - iJ = F (_flipped(cm) + eps P) F``, which is
+how :func:`gsep.engine.find_threshold` brackets the transpose threshold
+without building a state per ``eps``.  A failure proves entanglement;
+with one mode per side a pass proves separability; beyond that the
+:mod:`gsep.engine` iteration is strictly stronger.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ def ppt_check(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL) -> PptReport:
     ``ppt``, the PSD rule; a decisively negative margin proves entanglement.
     """
     _require_cm(cm, tol)
-    eigs = np.linalg.eigvalsh(cm.gamma - 1j * _direct_sum(symplectic_form(cm.n),
-                                                         -symplectic_form(cm.m)))
+    eigs = np.linalg.eigvalsh(_flipped(cm))
     return PptReport(_psd_rule(eigs, tol), float(eigs[0]))
+
+
+def _flipped(cm: BipartiteCM) -> np.ndarray:
+    """``gamma - i(J_A oplus -J_B)``, the matrix the transpose test reads."""
+    return cm.gamma - 1j * _direct_sum(symplectic_form(cm.n), -symplectic_form(cm.m))

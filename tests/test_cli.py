@@ -256,6 +256,19 @@ class TestGen:
         assert code == 0
         np.testing.assert_allclose(parse_cm(out).gamma, tmss(0.8).gamma, atol=0)
 
+    @pytest.mark.parametrize("r", ["inf", "nan", "-1", "400"])
+    def test_tmss_rejects_r_outside_its_range(self, capsys, r):
+        code, out, err = run(capsys, "gen", "tmss", "--r", r)
+        assert code == 2 and out == ""
+        assert err.startswith("error: squeezing parameter r must lie in [0, 354]")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["random", "separable"])
+    def test_rejects_empty_party(self, capsys, kind):
+        code, out, err = run(capsys, "gen", kind, "--n", "1", "--m", "0")
+        assert code == 2 and out == ""
+        assert err == "error: both parties need at least one mode, got n=1 and m=0\n"
+
     def test_seed_determinism(self, capsys):
         code1, out1, _ = run(capsys, "gen", "random", "--n", "2", "--seed", "5")
         code2, out2, _ = run(capsys, "gen", "random", "--n", "2", "--seed", "5")

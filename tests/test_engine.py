@@ -1,8 +1,10 @@
 """Tests for the decision iteration."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import block_diag
 
 from _expm_fixtures import random_cm, random_covariance, random_separable_cm
@@ -30,10 +32,12 @@ from gsep.gaussian import (
     symplectic_form,
     tmss,
 )
+from gsep.io import load_cm
 from gsep.matlin import DEFAULT_TOL, psd_check, trace_norm
 from gsep.ppt import ppt_check
 
 J1 = np.array([[0.0, -1.0], [1.0, 0.0]])
+WERNER_WOLF = Path(__file__).parent / "fixtures" / "ppt_entangled_2x2.json"  # PPT, entangled
 EPS_STAR_R1 = 1.0 - np.exp(-2.0)  # identity-noise threshold of tmss(1.0)
 
 
@@ -523,29 +527,85 @@ class TestFindThreshold:
         with pytest.raises(ValueError, match="width must be positive and finite"):
             find_threshold(tmss(1.0), width=width)
 
-    def test_zero_perturbation_never_brackets(self):
+    def test_zero_perturbation_never_brackets(self, probe_budget):
+        # the transpose test fails up to eps_max, so only the base decide runs
         with pytest.raises(BracketError, match="eps_max"):
             find_threshold(tmss(1.0), np.zeros((4, 4)), eps_max=100.0)
+        assert len(probe_budget) == 1
 
     def test_no_probe_goes_past_eps_max(self, monkeypatch):
-        probes = []
-        shifted = engine._shifted
+        # ``bracketed``: every eps a search tests, by Cholesky or by decide;
+        # ``decided``: every eps a decide probe runs at
+        bracketed, decided = [], []
+        bisect, shifted = engine._bisect, engine._shifted
 
-        def spy(cm, eps, pert=None):
-            probes.append(eps)
+        def spy_bisect(holds, eps_max, width):
+            return bisect(lambda eps: bracketed.append(eps) or holds(eps), eps_max, width)
+
+        def spy_shifted(cm, eps, pert=None):
+            decided.append(eps)
             return shifted(cm, eps, pert)
 
-        monkeypatch.setattr(engine, "_shifted", spy)
+        monkeypatch.setattr(engine, "_bisect", spy_bisect)
+        monkeypatch.setattr(engine, "_shifted", spy_shifted)
+        # tmss(1.0) fails the transpose test up to 0.5: no decide probe runs
         with pytest.raises(BracketError, match="eps_max=0.5"):
             find_threshold(tmss(1.0), eps_max=0.5)
-        assert probes == [0.5]
-        probes.clear()
+        assert bracketed == [0.5] and decided == []
+        bracketed.clear()
         threshold = find_threshold(tmss(1.0), eps_max=0.9)
-        assert max(probes) == 0.9
+        assert max(bracketed + decided) == 0.9
         assert abs(threshold - EPS_STAR_R1) <= DEFAULT_TOL.decision_margin
-        probes.clear()
-        find_threshold(tmss(1.0))  # the default brackets at eps = 1, as it always has
-        assert probes[:2] == [1.0, 0.5]
+        # the Werner-Wolf fixture passes the transpose test, so its search
+        # probes decide from the start, as it always has
+        decided.clear()
+        with pytest.raises(BracketError, match="eps_max=0.05"):
+            find_threshold(load_cm(WERNER_WOLF), eps_max=0.05)
+        assert decided == [0.05]
+        decided.clear()
+        find_threshold(load_cm(WERNER_WOLF))  # the default brackets at eps = 1
+        assert decided[:2] == [1.0, 0.5]
+
+    def test_transpose_bracket_needs_two_decides(self, probe_budget):
+        # the base verdict and one SEPARABLE confirmation at the bracket's top
+        states = [tmss(r) for r in (0.05, 0.5, 1.0, 2.0)]
+        states += [cm for cm in (gaussian.random_cm(2, 2, seed=s) for s in range(8))
+                   if not ppt_check(cm).ppt]
+        assert len(states) >= 8
+        for cm in states:
+            probe_budget.clear()
+            find_threshold(cm)
+            assert len(probe_budget) <= 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+           purity=st.sampled_from(["mixed", "pure"]), seed=st.integers(0, 2**32 - 1))
+    def test_npt_threshold_sits_on_the_transpose_threshold(self, shape, purity, seed):
+        cm = gaussian.random_cm(*shape, purity, seed=seed)
+        report = ppt_check(cm)
+        assume(not report.ppt)
+        assert abs(find_threshold(cm) - (-report.margin)) <= 2e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.floats(0.01, 3.0))
+    def test_tmss_threshold_sits_on_the_transpose_threshold(self, r):
+        cm = tmss(r)
+        assert abs(find_threshold(cm) - (-ppt_check(cm).margin)) <= 2e-12
+
+    def test_ppt_input_threshold_is_the_decide_bisection(self, probe_budget):
+        # the transpose test cannot bracket a PPT state: 42 decides, as before
+        assert find_threshold(load_cm(WERNER_WOLF)) == 0.09786679022317912
+        assert len(probe_budget) == 42
+
+    def test_unconfirmed_bracket_falls_back_to_the_decide_bisection(self, probe_budget):
+        # the sixth 2+2 draw's decide threshold lies 5e-12 above the top of
+        # its transpose bracket, so the confirming decide is not SEPARABLE
+        # and the old search runs: base, confirmation and 41 probes
+        rng = np.random.default_rng(2024)
+        cm = [random_cm(2, 2, "mixed", rng=rng) for _ in range(6)][-1]
+        assert not ppt_check(cm).ppt
+        assert find_threshold(cm) == 0.3513992390412568
+        assert len(probe_budget) == 43
 
     @pytest.mark.parametrize("eps_max", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_eps_max_that_bounds_nothing(self, eps_max):

@@ -204,6 +204,15 @@ class TestTmss:
         with pytest.raises(ValueError):
             tmss(-0.1)
 
+    @pytest.mark.parametrize("r", [-1.0, float("nan"), float("inf"), 355.0, 400.0])
+    def test_rejects_squeezing_outside_its_range_naming_r(self, r):
+        # above the cap, cosh(2r) overflows or the state's blocks would
+        with pytest.raises(ValueError, match=r"squeezing parameter r must lie in \[0, 354\]"):
+            tmss(r)
+
+    def test_largest_squeezing_is_finite(self):
+        assert np.all(np.isfinite(tmss(354.0).gamma))
+
 
 class TestPartialTranspose:
     def test_involution(self):
@@ -301,6 +310,12 @@ class TestRandomGenerators:
         # measured on; the public generators fix what `gsep gen --seed N`
         # writes, and a Generator passed as `seed` is advanced in place
         assert hashlib.sha256(make().tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n, m", [(-1, 1), (1, 0), (0, 0)])
+    def test_rejects_empty_party_naming_both(self, n, m):
+        for make in (random_cm, random_separable_cm):
+            with pytest.raises(ValueError, match=f"at least one mode, got n={n} and m={m}"):
+                make(n, m, seed=0)
 
     def test_rejects_unknown_purity(self):
         with pytest.raises(ValueError, match="purity"):
