@@ -3,8 +3,8 @@
 Subcommands: ``check`` (verdict for one state), ``certify`` (verdict plus
 an explicit certificate or witness), ``sweep`` (verdicts along a noise
 ray, CSV), ``threshold`` (the separability threshold along a noise ray:
-a transpose-test bracket confirmed by one verdict, else bisection on
-verdicts), and ``gen`` (fixture generation).  Exit codes: 0 when a
+a transpose-test bracket confirmed by one verdict, else a search on
+verdicts guided by their margins), and ``gen`` (fixture generation).  Exit codes: 0 when a
 result was computed, 2 on malformed or invalid input, 3 on numerical
 failure.
 """
@@ -206,7 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "the transpose test has its transpose threshold bracketed by "
                     "Cholesky factorizations, and one verdict at the bracket's top "
                     "confirms it; otherwise, and for states that pass the transpose "
-                    "test, the search bisects on verdicts.")
+                    "test, the search runs on verdicts, each probe placed where the "
+                    "margin of the test that fired crosses zero.")
     p.add_argument("--perturbation",
                    help="CM JSON file with the PSD perturbation (default identity)")
     p.add_argument("--eps-max", type=float, default=1e6,

@@ -349,31 +349,84 @@ def sweep(cm: BipartiteCM, perturbation: np.ndarray, eps_grid,
     return points
 
 
-def _bisect(holds, eps_max: float, width: float) -> tuple[float, float]:
+def _held(result) -> bool:
+    """A probe's outcome: a truth value, or a verdict that holds when SEPARABLE."""
+    return result.kind is VerdictKind.SEPARABLE if isinstance(result, Verdict) else bool(result)
+
+
+def _crossing(lo: float, at_lo, hi: float, at_hi, weights: list[float],
+              width: float) -> float | None:
+    """Where the margin that made ``at_lo`` ENTANGLED crosses zero, or ``None``.
+
+    The margin is that of the test that fired, ``margin_A`` for the block
+    test and ``margin_full`` for the cone test, at the step where it
+    fired, read from both traces and scaled by the Illinois ``weights``.
+    Without an ENTANGLED verdict at ``lo``, a trace at ``hi`` that
+    reaches that step, or a sign change, nothing is proposed.  The
+    regula falsi point is clamped ``width / 2`` inside the bracket, and
+    nothing is proposed when that leaves no float strictly inside.
+    """
+    if not (isinstance(at_lo, Verdict) and at_lo.kind is VerdictKind.ENTANGLED
+            and len(at_hi.trace.steps) >= at_lo.step):
+        return None
+    step = at_hi.trace.steps[at_lo.step - 1]
+    upper = step.margin_A if at_lo.reason == REASON_BLOCK_ENTANGLED else step.margin_full
+    f_lo, f_hi = weights[0] * at_lo.margin, weights[1] * upper
+    if not f_lo < 0.0 < f_hi:
+        return None
+    eps = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+    eps = min(max(eps, lo + 0.5 * width), hi - 0.5 * width)
+    return eps if lo < eps < hi else None
+
+
+def _bisect(holds, eps_max: float, width: float, lo: float = 0.0,
+            at_lo=None) -> tuple[float, float]:
     """Bracket ``[lo, hi]`` of the smallest ``eps`` where ``holds(eps)``.
 
-    ``holds`` must be monotone along the ray and false at ``0``.  The
-    upper end doubles from ``min(1, eps_max)``, capped at ``eps_max``; no
-    probe goes past it, and ``holds`` false there raises
-    :class:`BracketError`.  Bisection then narrows the bracket to
-    ``width``, or to adjacent floats when their spacing is wider.
+    ``holds`` returns a truth value, or a :class:`Verdict` that holds
+    when SEPARABLE; it must be monotone along the ray and false at
+    ``lo``, whose outcome ``at_lo`` a caller that has it passes along.
+    The upper end doubles from ``min(max(1, 2 lo), eps_max)``, capped at
+    ``eps_max``; no probe goes past it, and ``holds`` false there raises
+    :class:`BracketError`.  The bracket then narrows to ``width``, or to
+    adjacent floats when their spacing is wider.
+
+    Verdicts place each probe by :func:`_crossing`, regula falsi with
+    the Illinois halving of the margin at an end that stayed put twice
+    in a row; plain truth values, and verdicts that propose nothing,
+    take the midpoint.  So does every probe made while the bracket lags
+    behind bisection at two probes per halving, which bounds the
+    narrowing at ``2 log2(span / width) + 1`` probes for a starting
+    bracket of ``span``.
     """
-    lo, hi = 0.0, min(1.0, eps_max)
-    while not holds(hi):
+    hi = min(max(1.0, 2.0 * lo), eps_max)
+    while hi <= lo or not _held(at_hi := holds(hi)):
         if hi >= eps_max:
             raise BracketError(f"no separable bracket found up to eps_max={eps_max:g}")
-        lo, hi = hi, min(2.0 * hi, eps_max)
-    mid = 0.5 * (lo + hi)
-    while hi - lo > width and lo < mid < hi:
-        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
-        mid = 0.5 * (lo + hi)
+        lo, at_lo, hi = hi, at_hi, min(2.0 * hi, eps_max)
+    weights, moved, pace = [1.0, 1.0], None, hi - lo
+    while hi - lo > width:
+        proposal = _crossing(lo, at_lo, hi, at_hi, weights, width) if hi - lo <= pace else None
+        eps = 0.5 * (lo + hi) if proposal is None else proposal
+        if not lo < eps < hi:
+            break
+        at = holds(eps)
+        end = int(_held(at))
+        if end:
+            hi, at_hi = eps, at
+        else:
+            lo, at_lo = eps, at
+        weights[end] = 1.0
+        if moved == end:
+            weights[1 - end] *= 0.5
+        moved, pace = end, pace * 0.5 ** 0.5
     return lo, hi
 
 
 def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
                    tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 200,
                    eps_max: float = 1e6, width: float = 1e-12) -> float:
-    """Smallest ``eps`` such that ``gamma + eps P`` is separable, by bisection.
+    """Smallest ``eps`` such that ``gamma + eps P`` is separable.
 
     ``perturbation`` defaults to the identity.  An already-separable
     input returns ``0.0``.  An ``eps_max`` or ``width`` that is not
@@ -387,16 +440,25 @@ def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
     bracket's top confirms it: if SEPARABLE, the midpoint is returned,
     never below ``eps_PPT`` by more than ``width`` plus the rounding of
     a factorization, of order ``d * machine eps * ||gamma||``.
-    Otherwise, and for inputs that pass the test, the search bisects on
-    :func:`decide` verdicts; UNDECIDED ones count as not separable, so
-    that value errs on the large side.
 
-    Either search doubles its upper end from ``min(1, eps_max)``, capped
-    at ``eps_max``, and no probe goes past it; no bracket up to it raises
+    Otherwise the search continues on :func:`decide` verdicts from that
+    verdict at the bracket's top, and for inputs that pass the test it
+    starts at ``0``.  Its bracket is backed by verdicts, never SEPARABLE
+    at the bottom (UNDECIDED counts as not separable, so the value errs
+    on the large side) and SEPARABLE at the top.  When the bottom is
+    ENTANGLED and the top's trace reaches the step where that verdict
+    fired, the next probe goes where the margin of the test that fired
+    there crosses zero, by regula falsi with the Illinois halving; other
+    probes take the midpoint, and so does every probe made while the
+    bracket lags behind bisection at two probes per halving.
+
+    Each search doubles its top from ``min(max(1, 2 lo), eps_max)``,
+    ``lo`` being ``0`` or the transpose bracket's top, capped at
+    ``eps_max``, and no probe goes past it; no bracket up to it raises
     :class:`BracketError`, with no further :func:`decide` when the
-    transpose test still fails there.  Bisection narrows the bracket to
-    ``width``, or to adjacent floats when their spacing is wider (then
-    the error bar), and returns its midpoint.
+    transpose test still fails there.  The bracket narrows to ``width``,
+    or to adjacent floats when their spacing is wider (then the error
+    bar), and its midpoint is returned.
     """
     for name, value in (("eps_max", eps_max), ("width", width)):
         if not 0.0 < value < np.inf:
@@ -411,15 +473,16 @@ def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
     if base.kind is VerdictKind.UNDECIDED:
         raise BracketError("verdict on the unperturbed state is undecided; no bracket exists")
 
-    def separable_at(eps: float) -> bool:
-        verdict = decide(_shifted(cm, eps, pert), tol, max_iter)
-        return verdict.kind is VerdictKind.SEPARABLE
+    def decide_at(eps: float) -> Verdict:
+        return decide(_shifted(cm, eps, pert), tol, max_iter)
 
     flipped = _flipped(cm)
-    if not _psd_rule(np.linalg.eigvalsh(flipped), tol):  # ppt_check's verdict: NPT
+    if _psd_rule(np.linalg.eigvalsh(flipped), tol):  # ppt_check's verdict: PPT
+        lo, hi = _bisect(decide_at, eps_max, width)
+    else:
         lo, hi = _bisect(lambda eps: _psd_by_cholesky(flipped + eps * pert, 0.0),
                          eps_max, width)
-        if separable_at(hi):
-            return 0.5 * (lo + hi)
-    lo, hi = _bisect(separable_at, eps_max, width)
+        top = decide_at(hi)
+        if top.kind is not VerdictKind.SEPARABLE:
+            lo, hi = _bisect(decide_at, eps_max, width, hi, top)
     return 0.5 * (lo + hi)

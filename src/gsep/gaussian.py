@@ -88,10 +88,11 @@ def _ingest_symmetric(mat, name: str) -> np.ndarray:
     scale = float(np.abs(arr).max())  # NaN or inf exactly when an entry is
     if not np.isfinite(scale):
         raise CMError(f"{name} contains non-finite entries")
-    residual = float(np.abs(arr - arr.T).max())
+    half = arr / 2.0  # halves first, so that no sum of two finite entries overflows
+    residual = 2.0 * float(np.abs(half - half.T).max())
     if residual > _SYMMETRY_RTOL * max(1.0, scale):
         raise CMError(f"{name} is not symmetric (residual {residual:.3e})")
-    sym = (arr + arr.T) / 2.0
+    sym = half + half.T
     sym.flags.writeable = False
     return sym
 

@@ -181,12 +181,12 @@ def _psd_by_cholesky(herm: np.ndarray, tau: float) -> bool:
 
 def operator_norm(mat) -> float:
     """Largest singular value.  Accepts rectangular input."""
-    return float(np.linalg.norm(_as_matrix(mat), 2))
+    return float(np.linalg.svd(_as_matrix(mat), compute_uv=False)[0])
 
 
 def trace_norm(mat) -> float:
     """Sum of singular values.  Accepts rectangular input."""
-    return float(np.linalg.norm(_as_matrix(mat), "nuc"))
+    return float(np.linalg.svd(_as_matrix(mat), compute_uv=False).sum())
 
 
 def _eigh_pinv(herm: np.ndarray, tol: ToleranceConfig):

@@ -5,28 +5,36 @@ import pytest
 
 import gsep.engine as engine
 
-PROBE_BUDGET = 200
+PROBE_BUDGET = 100
 
 
 @pytest.fixture
 def probe_budget(monkeypatch):
-    """Count calls of ``engine.decide`` and fail past ``PROBE_BUDGET`` of them.
+    """Count calls of ``engine.decide`` and fail past ``PROBE_BUDGET`` in one search loop.
 
-    A search that probes ``decide`` in a loop, as ``find_threshold``
-    does, then fails within milliseconds when a change stops it from
-    terminating, instead of stalling the run.  The returned list gets one
-    entry per call; clear it to give the next search a fresh budget.
+    A search loop is one ``engine._bisect`` call, the loop that
+    ``find_threshold`` probes ``decide`` in; a change that stops it from
+    terminating then fails within milliseconds instead of stalling the
+    run.  The budget starts afresh with every loop, so the examples of a
+    ``hypothesis`` test do not add up.  The returned list gets one entry
+    per ``decide`` call; clear it to count the next search alone.
     """
     calls = []
-    decide = engine.decide
+    start = [0]  # len(calls) when the current search loop began
+    decide, bisect = engine.decide, engine._bisect
 
     def counted(*args, **kwargs):
         calls.append(None)
-        if len(calls) > PROBE_BUDGET:
+        if len(calls) - start[0] > PROBE_BUDGET:
             raise AssertionError(f"more than {PROBE_BUDGET} decide probes in one search")
         return decide(*args, **kwargs)
 
+    def search(*args, **kwargs):
+        start[0] = len(calls)
+        return bisect(*args, **kwargs)
+
     monkeypatch.setattr(engine, "decide", counted)
+    monkeypatch.setattr(engine, "_bisect", search)
     return calls
 
 

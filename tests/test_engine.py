@@ -33,8 +33,8 @@ from gsep.gaussian import (
     tmss,
 )
 from gsep.io import load_cm
-from gsep.matlin import DEFAULT_TOL, psd_check, trace_norm
-from gsep.ppt import ppt_check
+from gsep.matlin import DEFAULT_TOL, _psd_by_cholesky, psd_check, trace_norm
+from gsep.ppt import _flipped, ppt_check
 
 J1 = np.array([[0.0, -1.0], [1.0, 0.0]])
 WERNER_WOLF = Path(__file__).parent / "fixtures" / "ppt_entangled_2x2.json"  # PPT, entangled
@@ -53,6 +53,41 @@ def noisy_tmss(r, t):
 # transpose-test margins on either side of the threshold, outside the band
 OFF_BAND = st.one_of(
     st.floats(1e-10, 1e-8), st.floats(-1e-8, -1e-10), st.floats(1e-8, 1e-6))
+
+
+def transpose_top(cm):
+    """Top of ``cm``'s transpose bracket along the identity, as find_threshold takes it."""
+    flipped = _flipped(cm)
+    return engine._bisect(lambda eps: _psd_by_cholesky(flipped + eps * np.eye(len(flipped)), 0.0),
+                          1e6, 1e-12)[1]
+
+
+def record_probes(monkeypatch):
+    """``(eps, kind)`` of every decide probe along the ray, the base verdict left out."""
+    probes, pending = [], []
+    shift, decide_ = engine._shifted, engine.decide
+
+    def spy_shifted(cm, eps, pert=None):
+        pending.append(eps)
+        return shift(cm, eps, pert)
+
+    def spy_decide(*args, **kwargs):
+        verdict = decide_(*args, **kwargs)
+        if pending:
+            probes.append((pending.pop(), verdict.kind))
+        return verdict
+
+    monkeypatch.setattr(engine, "_shifted", spy_shifted)
+    monkeypatch.setattr(engine, "decide", spy_decide)
+    return probes
+
+
+def assert_backed_by_verdicts(threshold, probes, eps_max, width):
+    """A SEPARABLE probe above ``threshold`` and a non-SEPARABLE one below, ``width`` apart."""
+    assert max(eps for eps, _ in probes) <= eps_max
+    hi = min(eps for eps, kind in probes if kind is VerdictKind.SEPARABLE and eps >= threshold)
+    lo = max(eps for eps, kind in probes if kind is not VerdictKind.SEPARABLE and eps <= threshold)
+    assert max(hi - threshold, threshold - lo) <= 0.5 * width or np.nextafter(lo, hi) == hi
 
 
 class TestMapStep:
@@ -592,20 +627,67 @@ class TestFindThreshold:
         cm = tmss(r)
         assert abs(find_threshold(cm) - (-ppt_check(cm).margin)) <= 2e-12
 
-    def test_ppt_input_threshold_is_the_decide_bisection(self, probe_budget):
-        # the transpose test cannot bracket a PPT state: 42 decides, as before
-        assert find_threshold(load_cm(WERNER_WOLF)) == 0.09786679022317912
-        assert len(probe_budget) == 42
+    def test_ppt_input_threshold_takes_the_margin_guided_search(self, probe_budget):
+        # the transpose test cannot bracket a PPT state; step 2's cone
+        # margin places the probes, 15 decides where bisection took 42
+        threshold = find_threshold(load_cm(WERNER_WOLF))
+        assert threshold == 0.09786679022271991
+        assert len(probe_budget) == 15
+        assert abs(threshold - 0.09786679022317912) <= 1e-12  # the bisection's value
 
-    def test_unconfirmed_bracket_falls_back_to_the_decide_bisection(self, probe_budget):
-        # the sixth 2+2 draw's decide threshold lies 5e-12 above the top of
-        # its transpose bracket, so the confirming decide is not SEPARABLE
-        # and the old search runs: base, confirmation and 41 probes
+    def test_unconfirmed_bracket_continues_with_the_margin_guided_search(self, probe_budget):
+        # the sixth 2+2 draw's decide threshold lies above the top of its
+        # transpose bracket, so the confirming decide is not SEPARABLE and
+        # the guided search starts there, from that verdict
         rng = np.random.default_rng(2024)
         cm = [random_cm(2, 2, "mixed", rng=rng) for _ in range(6)][-1]
         assert not ppt_check(cm).ppt
-        assert find_threshold(cm) == 0.3513992390412568
-        assert len(probe_budget) == 43
+        threshold = find_threshold(cm)
+        assert threshold == 0.3513992390365046
+        assert len(probe_budget) == 16
+        assert threshold >= transpose_top(cm)
+
+    def test_guided_search_under_local_maps_matches_the_decide_bisection(self, probe_budget,
+                                                                       monkeypatch):
+        # local symplectic maps keep the state PPT and entangled but move
+        # its threshold along the identity and deepen the steps that fire
+        width = 1e-12
+        rng = np.random.default_rng(1)
+        states = []
+        for _ in range(12):
+            s = _direct_sum(random_symplectic(2, rng), random_symplectic(2, rng))
+            states.append(BipartiteCM.from_gamma(s @ load_cm(WERNER_WOLF).gamma @ s.T, 2, 2))
+        expected = [0.5 * sum(engine._bisect(lambda eps, cm=cm: decide(
+            engine._shifted(cm, eps)).kind is VerdictKind.SEPARABLE, 1e6, width)) for cm in states]
+        probes = record_probes(monkeypatch)
+        for cm, bisected in zip(states, expected):
+            probes.clear()
+            probe_budget.clear()
+            threshold = find_threshold(cm, width=width)
+            assert len(probe_budget) <= 43
+            assert_backed_by_verdicts(threshold, probes, 1e6, width)
+            assert abs(threshold - bisected) <= 2 * width
+
+    def test_every_guided_threshold_is_backed_by_verdicts(self, monkeypatch):
+        # the fixture, with a cap just above its threshold, and the
+        # rng-2024 draws whose transpose bracket decide does not confirm
+        probes = record_probes(monkeypatch)
+        for eps_max in (1e6, 0.1):
+            probes.clear()
+            threshold = find_threshold(load_cm(WERNER_WOLF), eps_max=eps_max)
+            assert_backed_by_verdicts(threshold, probes, eps_max, 1e-12)
+        rng = np.random.default_rng(2024)
+        unconfirmed = 0
+        for cm in [random_cm(2, 2, "mixed", rng=rng) for _ in range(60)]:
+            if ppt_check(cm).ppt:
+                continue
+            probes.clear()
+            threshold = find_threshold(cm)
+            if len(probes) > 1:
+                unconfirmed += 1
+                assert threshold >= transpose_top(cm)
+                assert_backed_by_verdicts(threshold, probes, 1e6, 1e-12)
+        assert unconfirmed >= 10
 
     @pytest.mark.parametrize("eps_max", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_eps_max_that_bounds_nothing(self, eps_max):

@@ -132,6 +132,15 @@ class TestCovarianceMatrix:
         np.testing.assert_array_equal(cm.gamma, cm.gamma.T)
         assert validate_cm(gamma).is_psd
 
+    def test_entries_above_half_the_largest_float_do_not_overflow(self):
+        # warnings are errors here, so an overflowing sum fails the test too
+        cm = BipartiteCM.from_gamma(1e308 * np.eye(4), 1, 1)
+        np.testing.assert_array_equal(cm.gamma, 1e308 * np.eye(4))
+        bad = 1e308 * np.eye(4)
+        bad[0, 1], bad[1, 0] = 1.7e308, -1.7e308
+        with pytest.raises(CMError, match="not symmetric"):
+            BipartiteCM.from_gamma(bad, 1, 1)
+
     def test_array_is_read_only(self):
         gamma = random_covariance(1, seed=0)
         with pytest.raises(ValueError):
