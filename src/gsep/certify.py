@@ -34,7 +34,7 @@ import numpy as np
 
 from .engine import (REASON_BLOCK_ENTANGLED, REASON_CONE_ENTANGLED, REASON_NORM_GAP_SEPARABLE,
                      IterationTrace)
-from .gaussian import BipartiteCM, _direct_sum, _ingest_symmetric, symplectic_form
+from .gaussian import BipartiteCM, _direct_sum, _ingest_symmetric, _minus_ij
 from .matlin import DEFAULT_TOL, PsdReport, ToleranceConfig, _schur_complement, psd_check
 
 __all__ = [
@@ -80,7 +80,7 @@ class CertificateReport:
 
 def _cm_margin(mat: np.ndarray, tol: ToleranceConfig, what: str, step: int) -> np.ndarray:
     """Check ``mat - iJ >= 0`` within tolerance; return ``mat``, which is symmetric."""
-    report = psd_check(mat - 1j * symplectic_form(mat.shape[0] // 2), tol)
+    report = psd_check(_minus_ij(mat), tol)
     if not report.is_psd:
         raise CertificateError(
             f"{what} at step {step} fails the CM test "
@@ -154,9 +154,8 @@ def witness(trace: IterationTrace) -> tuple[float, np.ndarray]:
             f"(trace ended with: {trace.reason!r})"
         )
     a, c = trace.steps[-1].A, trace.steps[-1].C
-    mat = (_direct_sum(a, a, c) - 1j * symplectic_form(a.shape[0])
-           if trace.reason == REASON_CONE_ENTANGLED else a - 1j * symplectic_form(a.shape[0] // 2))
-    eigs, vecs = np.linalg.eigh(mat)
+    eigs, vecs = np.linalg.eigh(
+        _minus_ij(_direct_sum(a, a, c) if trace.reason == REASON_CONE_ENTANGLED else a))
     return float(eigs[0]), vecs[:, 0]
 
 
@@ -190,8 +189,8 @@ def verify_certificate(cm: BipartiteCM, certificate: SeparabilityCertificate,
     if not residual <= tol.psd_tol * scale:
         raise ValueError("certificate does not reproduce the state: "
                          f"max|gamma - gamma_A oplus gamma_B - P| = {residual:.3e}")
-    rep_a = psd_check(gamma_a - 1j * symplectic_form(cm.n), tol)
-    rep_b = psd_check(gamma_b - 1j * symplectic_form(cm.m), tol)
+    rep_a = psd_check(_minus_ij(gamma_a), tol)
+    rep_b = psd_check(_minus_ij(gamma_b), tol)
     rep_p = psd_check(remainder, tol)
     valid = rep_a.is_psd and rep_b.is_psd and rep_p.is_psd
     return CertificateReport(valid, (rep_a, rep_b, rep_p))

@@ -36,18 +36,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import BipartiteCM, InvalidCMError, _ingest_symmetric, _require_cm, symplectic_form
+from .gaussian import BipartiteCM, InvalidCMError, _ingest_symmetric, _minus_ij, _require_cm
 from .matlin import (
     DEFAULT_TOL,
     ToleranceConfig,
     _psd_by_cholesky,
-    _psd_rule,
     operator_norm,
     pseudoinverse,
     psd_check,
     trace_norm,
 )
-from .ppt import _flipped
+from .ppt import _flipped, _transpose_report
 
 __all__ = [
     "BracketError",
@@ -122,8 +121,7 @@ class IterationStep:
 
     def _cone_pair(self) -> np.ndarray:
         """The ``(2, 2n, 2n)`` stack ``A_N - iJ + iC_N``, ``A_N - iJ - iC_N``."""
-        a, c = self.A, self.C
-        return a - 1j * (symplectic_form(a.shape[0] // 2) - np.stack((c, -c)))
+        return _minus_ij(self.A) + 1j * np.stack((self.C, -self.C))
 
     @cached_property
     def _eigs_full(self) -> np.ndarray:
@@ -192,9 +190,8 @@ def map_step(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, validate: bool
     """
     if validate:
         _require_cm(cm, tol)
-    j_m = symplectic_form(cm.m)
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports it
-        x = cm.C @ pseudoinverse(cm.B - 1j * j_m, tol) @ cm.C.T
+        x = cm.C @ pseudoinverse(_minus_ij(cm.B), tol) @ cm.C.T
     if not np.all(np.isfinite(x)):
         raise NumericalError("map produced a non-finite Schur complement")
     a_next = cm.A - x.real
@@ -206,12 +203,11 @@ def map_step(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, validate: bool
 
 def _make_step(index: int, cm: BipartiteCM) -> IterationStep:
     """Assemble an IterationStep with all margins for iterate ``cm``."""
-    j_n = symplectic_form(cm.n)
     return IterationStep(
         index=index,
         A=cm.A,
         C=cm.C,
-        margin_A=float(np.linalg.eigvalsh(cm.A - 1j * j_n)[0]),
+        margin_A=float(np.linalg.eigvalsh(_minus_ij(cm.A))[0]),
         c_opnorm=operator_norm(cm.C),
         a_trnorm=trace_norm(cm.A),
     )
@@ -477,7 +473,7 @@ def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
         return decide(_shifted(cm, eps, pert), tol, max_iter)
 
     flipped = _flipped(cm)
-    if _psd_rule(np.linalg.eigvalsh(flipped), tol):  # ppt_check's verdict: PPT
+    if _transpose_report(flipped, tol).ppt:
         lo, hi = _bisect(decide_at, eps_max, width)
     else:
         lo, hi = _bisect(lambda eps: _psd_by_cholesky(flipped + eps * pert, 0.0),

@@ -71,6 +71,11 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return j
 
 
+def _minus_ij(x: np.ndarray) -> np.ndarray:
+    """``x - iJ``, the matrix whose positivity is the CM test, for a ``2k x 2k`` ``x``."""
+    return x - 1j * symplectic_form(x.shape[0] // 2)
+
+
 def _direct_sum(a: np.ndarray, b: np.ndarray, c=0.0) -> np.ndarray:
     """The one builder of ``[[a, c], [c^T, b]]``, by default ``a oplus b``: four slice writes."""
     k = len(a)
@@ -156,8 +161,7 @@ def validate_cm(gamma, tol: ToleranceConfig = DEFAULT_TOL) -> PsdReport:
     the ``gamma - iJ >= 0`` question, with ``lambda_min`` as the margin.
     """
     arr = gamma.gamma if isinstance(gamma, BipartiteCM) else _ingest_symmetric(gamma, "gamma")
-    j = symplectic_form(arr.shape[0] // 2)
-    return psd_check(arr - 1j * j, tol)
+    return psd_check(_minus_ij(arr), tol)
 
 
 def _require_cm(cm, tol: ToleranceConfig) -> None:

@@ -189,40 +189,43 @@ def trace_norm(mat) -> float:
     return float(np.linalg.svd(_as_matrix(mat), compute_uv=False).sum())
 
 
-def _eigh_pinv(herm: np.ndarray, tol: ToleranceConfig):
-    """One ``eigh`` of Hermitian ``herm`` and its kernel-aware inverse.
+def _eigh_kernel(herm: np.ndarray, tol: ToleranceConfig):
+    """One ``eigh`` of Hermitian ``herm`` and the mask of its kernel.
 
     Eigenvalues at or below ``pinv_rcond * max(lambda_max, 0)`` are kernel,
     including the tolerance-level negatives a PSD-passing matrix may carry,
-    and are zeroed rather than inverted into huge negative contributions.
-    Returns ``(eigs, vecs, kernel, pinv)``, ``pinv = (V Lambda^+) V^H`` unsymmetrized.
+    and are left out rather than inverted into huge negative contributions.
+    Returns ``(eigs, vecs, kernel)``.
     """
     eigs, vecs = np.linalg.eigh(herm)
-    kernel = eigs <= tol.pinv_rcond * max(float(eigs[-1]), 0.0)
-    inv = np.zeros_like(eigs)
-    np.divide(1.0, eigs, out=inv, where=~kernel)
-    return eigs, vecs, kernel, (vecs * inv) @ vecs.conj().T
+    return eigs, vecs, eigs <= tol.pinv_rcond * max(float(eigs[-1]), 0.0)
 
 
 def _schur_complement(outer: np.ndarray, coupling: np.ndarray, inner: np.ndarray,
                       tol: ToleranceConfig):
     """The Schur complement of ``inner`` in ``[[outer, coupling], [coupling^T, inner]]``.
 
-    One :func:`_eigh_pinv` of the real symmetric ``inner`` yields all
-    three facts that decide whether that block matrix is PSD.  Returns
+    One :func:`_eigh_kernel` of the real symmetric ``inner`` yields all
+    three facts that decide whether that block matrix is PSD.  The
+    product with the inverse is the Gram matrix ``W W^T`` of ``W =
+    coupling V Lambda^{-1/2}`` over the eigenvalues above the cutoff,
+    never an explicit inverse, whose rounding grows with
+    ``||coupling||^2 cond(inner)``.  Returns
     ``(complement, inner_psd, inner_margin, kernel_ok, residual)``:
     ``outer - coupling inner^+ coupling^T`` symmetrized; whether
     ``inner`` passes the PSD rule, with ``lambda_min(inner)``; and
     whether ``||coupling v|| <= psd_tol * max(1, ||coupling||_op)`` for
     every kernel vector ``v`` of ``inner``, with the worst such residual.
     """
-    eigs, vecs, kernel, inner_pinv = _eigh_pinv(inner, tol)
+    eigs, vecs, kernel = _eigh_kernel(inner, tol)
+    proj = coupling @ vecs
     kernel_ok, residual = True, 0.0
     if kernel.any():
-        residuals = np.linalg.norm(coupling @ vecs[:, kernel], axis=0)
+        residuals = np.linalg.norm(proj[:, kernel], axis=0)
         allowance = tol.psd_tol * max(1.0, operator_norm(coupling))
         kernel_ok, residual = bool(np.all(residuals <= allowance)), float(residuals.max())
-    complement = outer - coupling @ inner_pinv @ coupling.T
+    gram = proj[:, ~kernel] / np.sqrt(eigs[~kernel])
+    complement = outer - gram @ gram.T
     return ((complement + complement.T) / 2.0, _psd_rule(eigs, tol), float(eigs[0]),
             kernel_ok, residual)
 
@@ -235,7 +238,10 @@ def pseudoinverse(mat, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     result is Hermitian and PSD by construction.  Inputs far from PSD are
     outside the contract; use a general-purpose pseudoinverse for those.
     """
-    return hermitian_part(_eigh_pinv(hermitian_part(mat), tol)[3])
+    eigs, vecs, kernel = _eigh_kernel(hermitian_part(mat), tol)
+    inv = np.zeros_like(eigs)
+    np.divide(1.0, eigs, out=inv, where=~kernel)
+    return hermitian_part((vecs * inv) @ vecs.conj().T)
 
 
 def schur_psd(block_a, block_b, block_c, tol: ToleranceConfig = DEFAULT_TOL) -> SchurReport:

@@ -61,3 +61,18 @@ def random_separable_cm(n, m, seed=None, rng=None):
     r = gen.standard_normal((d, d)) / np.sqrt(d)
     gamma = _direct_sum(gamma_a, gamma_b) + r @ r.T
     return BipartiteCM.from_gamma(gamma, n, m), gamma_a, gamma_b
+
+
+def nearly_pure_2x2():
+    """Nearly pure 2+2 blocks with weak noise, from ``default_rng(6)``.
+
+    ``decide`` calls it SEPARABLE inside the tolerance band, and the
+    certificate's step-0 reduced B-block fails the CM test (margin about
+    -1.4e-6), so ``reconstruct`` raises ``CertificateError``.
+    """
+    rng = np.random.default_rng(6)
+    mix = 1e-3
+    ga = random_covariance(2, "pure", rng=rng) + mix * np.eye(4)
+    gb = random_covariance(2, "pure", rng=rng) + mix * np.eye(4)
+    r = mix * rng.standard_normal((8, 8)) / np.sqrt(8)
+    return BipartiteCM.from_gamma(_direct_sum(ga, gb) + r @ r.T, 2, 2)

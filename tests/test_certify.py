@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from _expm_fixtures import random_cm, random_covariance, random_separable_cm
+from _expm_fixtures import nearly_pure_2x2, random_cm, random_covariance, random_separable_cm
 from gsep.certify import (
     CertificateError,
     SeparabilityCertificate,
@@ -99,6 +99,18 @@ class TestReconstructRandom:
             done += 1
         assert done >= 40
 
+    def test_tight_single_mode_pairs_certify(self):
+        # draws 133 and 351 of criterion 3's population end SEPARABLE with
+        # step-0 reduced B-blocks so close to the CM boundary that the
+        # Schur complement's rounding decides whether they certify
+        rng = np.random.default_rng(303)
+        draws = [random_cm(1, 1, "mixed", rng=rng) for _ in range(352)]
+        for k in (133, 351):
+            verdict = decide(draws[k])
+            assert verdict.kind is VerdictKind.SEPARABLE, k
+            report = verify_certificate(draws[k], reconstruct(verdict.trace))
+            assert report.valid, (k, report.margins)
+
     def test_decomposition_reproduces_input_exactly(self):
         cm, _, _ = random_separable_cm(2, 2, seed=5)
         verdict = decide(cm)
@@ -140,13 +152,7 @@ class TestReconstructFailures:
         # nearly pure blocks with weak noise: the forward run terminates
         # separable inside the tolerance band, but the backward recursion
         # cannot certify it and must say so rather than emit garbage
-        rng = np.random.default_rng(6)
-        mix = 1e-3
-        ga = random_covariance(2, "pure", rng=rng) + mix * np.eye(4)
-        gb = random_covariance(2, "pure", rng=rng) + mix * np.eye(4)
-        r = mix * rng.standard_normal((8, 8)) / np.sqrt(8)
-        cm = BipartiteCM.from_gamma(block_diag(ga, gb) + r @ r.T, 2, 2)
-        verdict = decide(cm)
+        verdict = decide(nearly_pure_2x2())
         assert verdict.kind is VerdictKind.SEPARABLE
         with pytest.raises(CertificateError, match="step 0"):
             reconstruct(verdict.trace)

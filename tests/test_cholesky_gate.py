@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import gsep.engine as engine
 import gsep.matlin as matlin
-from _expm_fixtures import random_cm, random_separable_cm
+from _expm_fixtures import nearly_pure_2x2, random_cm, random_separable_cm
 from gsep.certify import CertificateError, reconstruct, verify_certificate
 from gsep.engine import VerdictKind, decide
 from gsep.gaussian import BipartiteCM, InvalidCMError, symplectic_form, tmss, validate_cm
@@ -32,7 +32,9 @@ def gate_population():
     gamma = tmss(1.0).gamma
     states += [BipartiteCM.from_gamma(gamma + (EPS_STAR_R1 + s) * np.eye(4), 1, 1)
                for s in (-1e-9, 1e-9)]
-    return states
+    # reconstructing this one raises CertificateError, so the forced-fail run
+    # covers the error path without relying on criterion 3's tight draws
+    return states + [nearly_pure_2x2()]
 
 
 def fingerprint(cm):
