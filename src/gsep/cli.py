@@ -3,8 +3,9 @@
 Subcommands: ``check`` (verdict for one state), ``certify`` (verdict plus
 an explicit certificate or witness), ``sweep`` (verdicts along a noise
 ray, CSV), ``threshold`` (the separability threshold along a noise ray:
-a transpose-test bracket confirmed by one verdict, else a search on
-verdicts guided by their margins), and ``gen`` (fixture generation).  Exit codes: 0 when a
+a transpose-test lower bound, one verdict at its top, and a search on
+verdicts guided by their margins only when that verdict is not
+separable), and ``gen`` (fixture generation).  Exit codes: 0 when a
 result was computed, 2 on malformed or invalid input, 3 on numerical
 failure.
 """
@@ -202,12 +203,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "threshold", parents=[common],
         help="smallest eps making gamma + eps*P separable",
-        description="Smallest eps making gamma + eps*P separable.  A state that fails "
-                    "the transpose test has its transpose threshold bracketed by "
-                    "Cholesky factorizations, and one verdict at the bracket's top "
-                    "confirms it; otherwise, and for states that pass the transpose "
-                    "test, the search runs on verdicts, each probe placed where the "
-                    "margin of the test that fired crosses zero.")
+        description="Smallest eps making gamma + eps*P separable.  A state whose "
+                    "transpose-test margin lies below the decision band has its "
+                    "transpose threshold bracketed by Cholesky factorizations; one "
+                    "verdict at the bracket's top, or at 0 for other states, settles "
+                    "a separable one, and otherwise the search runs on verdicts, each "
+                    "probe placed where the margin of the test that fired crosses zero.")
     p.add_argument("--perturbation",
                    help="CM JSON file with the PSD perturbation (default identity)")
     p.add_argument("--eps-max", type=float, default=1e6,

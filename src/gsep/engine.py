@@ -22,9 +22,10 @@ All three tests judge their margin by one absolute band: it passes when
 come back ``UNDECIDED``, and :func:`decide_robust` is the documented way
 to resolve them by perturbing with ``+/- eps`` times the identity.
 
-An input that fails the CM test is not a state: :func:`decide` and
-:func:`map_step` refuse it with :class:`~gsep.gaussian.InvalidCMError`,
-whose message quotes the failing margin.
+An input that fails the CM test is not a state: :func:`decide`,
+:func:`map_step` and :func:`find_threshold` refuse it with
+:class:`~gsep.gaussian.InvalidCMError`, whose message quotes the
+failing margin.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .matlin import (
     psd_check,
     trace_norm,
 )
-from .ppt import _flipped, _transpose_report
+from .ppt import _flipped
 
 __all__ = [
     "BracketError",
@@ -381,19 +382,18 @@ def _bisect(holds, eps_max: float, width: float, lo: float = 0.0,
 
     ``holds`` returns a truth value, or a :class:`Verdict` that holds
     when SEPARABLE; it must be monotone along the ray and false at
-    ``lo``, whose outcome ``at_lo`` a caller that has it passes along.
-    The upper end doubles from ``min(max(1, 2 lo), eps_max)``, capped at
-    ``eps_max``; no probe goes past it, and ``holds`` false there raises
-    :class:`BracketError`.  The bracket then narrows to ``width``, or to
-    adjacent floats when their spacing is wider.
+    ``lo``, whose outcome, if known, is ``at_lo``.  The upper end
+    doubles from ``min(max(1, 2 lo), eps_max)`` and never passes
+    ``eps_max``; ``holds`` false there raises :class:`BracketError`.
+    The bracket then narrows to ``width``, or to adjacent floats when
+    their spacing is wider.
 
-    Verdicts place each probe by :func:`_crossing`, regula falsi with
-    the Illinois halving of the margin at an end that stayed put twice
-    in a row; plain truth values, and verdicts that propose nothing,
-    take the midpoint.  So does every probe made while the bracket lags
-    behind bisection at two probes per halving, which bounds the
-    narrowing at ``2 log2(span / width) + 1`` probes for a starting
-    bracket of ``span``.
+    An ENTANGLED verdict at the bottom places the next probe where the
+    margin of the test that fired crosses zero (:func:`_crossing`,
+    regula falsi with the Illinois halving).  Other probes take the
+    midpoint, and so does every probe made while the bracket lags behind
+    bisection at two probes per halving, which bounds the narrowing at
+    ``2 log2(span / width) + 1`` probes for a starting bracket of ``span``.
     """
     hi = min(max(1.0, 2.0 * lo), eps_max)
     while hi <= lo or not _held(at_hi := holds(hi)):
@@ -424,37 +424,33 @@ def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
                    eps_max: float = 1e6, width: float = 1e-12) -> float:
     """Smallest ``eps`` such that ``gamma + eps P`` is separable.
 
-    ``perturbation`` defaults to the identity.  An already-separable
-    input returns ``0.0``.  An ``eps_max`` or ``width`` that is not
-    positive and finite raises ``ValueError``.
+    ``perturbation`` defaults to the identity.  An ``eps_max`` or
+    ``width`` that is not positive and finite raises ``ValueError``, and
+    an input that fails the CM test is refused as :func:`decide` refuses
+    it.  The search then runs in three stages.
 
-    No separable state fails the transpose test, so no threshold lies
-    below ``eps_PPT``, the smallest ``eps`` at which ``gamma + eps P``
-    passes it.  For an input that fails the test, ``eps_PPT`` is
-    bracketed first, by Cholesky factorizations of the transpose-test
-    matrix with no :func:`decide` call, and one :func:`decide` at the
-    bracket's top confirms it: if SEPARABLE, the midpoint is returned,
-    never below ``eps_PPT`` by more than ``width`` plus the rounding of
-    a factorization, of order ``d * machine eps * ||gamma||``.
+    1. Lower bound.  No separable state fails the transpose test, so no
+       threshold lies below ``eps_PPT``, the smallest ``eps`` at which
+       ``gamma + eps P`` passes it.  When the transpose-test matrix,
+       shifted by ``decision_margin``, has no Cholesky factor (its margin
+       lies below the decision band, up to the rounding of a
+       factorization), ``eps_PPT`` is bracketed by factorizations of that
+       matrix, with no :func:`decide` call; otherwise the bound is ``0``.
+    2. One :func:`decide` at the bound's top.  SEPARABLE returns the
+       bound's midpoint: ``0.0`` for a bound of ``0``, and otherwise a
+       value never below ``eps_PPT`` by more than ``width`` plus the
+       rounding of a factorization, of order ``d * machine eps *
+       ||gamma||``.  UNDECIDED at ``0`` raises :class:`BracketError`.
+    3. Otherwise one search on :func:`decide` verdicts starts from that
+       verdict (see :func:`_bisect`).  Its bracket is never SEPARABLE at
+       the bottom (UNDECIDED counts as not separable, so the value errs
+       on the large side) and SEPARABLE at the top.
 
-    Otherwise the search continues on :func:`decide` verdicts from that
-    verdict at the bracket's top, and for inputs that pass the test it
-    starts at ``0``.  Its bracket is backed by verdicts, never SEPARABLE
-    at the bottom (UNDECIDED counts as not separable, so the value errs
-    on the large side) and SEPARABLE at the top.  When the bottom is
-    ENTANGLED and the top's trace reaches the step where that verdict
-    fired, the next probe goes where the margin of the test that fired
-    there crosses zero, by regula falsi with the Illinois halving; other
-    probes take the midpoint, and so does every probe made while the
-    bracket lags behind bisection at two probes per halving.
-
-    Each search doubles its top from ``min(max(1, 2 lo), eps_max)``,
-    ``lo`` being ``0`` or the transpose bracket's top, capped at
-    ``eps_max``, and no probe goes past it; no bracket up to it raises
-    :class:`BracketError`, with no further :func:`decide` when the
-    transpose test still fails there.  The bracket narrows to ``width``,
-    or to adjacent floats when their spacing is wider (then the error
-    bar), and its midpoint is returned.
+    Both brackets double their top up to ``eps_max``, and no probe goes
+    past it; no bracket up to it raises :class:`BracketError`, with no
+    :func:`decide` call when the transpose test still fails there.  Each
+    narrows to ``width``, or to adjacent floats when their spacing is
+    wider (then the error bar), and its midpoint is returned.
     """
     for name, value in (("eps_max", eps_max), ("width", width)):
         if not 0.0 < value < np.inf:
@@ -462,23 +458,19 @@ def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
     if perturbation is None:
         perturbation = np.eye(2 * (cm.n + cm.m))
     pert = _checked_perturbation(cm, perturbation, tol)
-
-    base = decide(cm, tol, max_iter)
-    if base.kind is VerdictKind.SEPARABLE:
-        return 0.0
-    if base.kind is VerdictKind.UNDECIDED:
-        raise BracketError("verdict on the unperturbed state is undecided; no bracket exists")
+    _require_cm(cm, tol)
 
     def decide_at(eps: float) -> Verdict:
         return decide(_shifted(cm, eps, pert), tol, max_iter)
 
     flipped = _flipped(cm)
-    if _transpose_report(flipped, tol).ppt:
-        lo, hi = _bisect(decide_at, eps_max, width)
-    else:
+    lo = hi = 0.0
+    if not _psd_by_cholesky(flipped, tol.decision_margin):
         lo, hi = _bisect(lambda eps: _psd_by_cholesky(flipped + eps * pert, 0.0),
                          eps_max, width)
-        top = decide_at(hi)
-        if top.kind is not VerdictKind.SEPARABLE:
-            lo, hi = _bisect(decide_at, eps_max, width, hi, top)
+    top = decide_at(hi)
+    if top.kind is VerdictKind.UNDECIDED and hi == 0.0:
+        raise BracketError("verdict on the unperturbed state is undecided; no bracket exists")
+    if top.kind is not VerdictKind.SEPARABLE:
+        lo, hi = _bisect(decide_at, eps_max, width, hi, top)
     return 0.5 * (lo + hi)

@@ -14,6 +14,7 @@ indent), so dump-load-dump is byte-for-byte stable.
 from __future__ import annotations
 
 import json
+import sys
 from typing import IO
 
 import numpy as np
@@ -113,10 +114,11 @@ def parse_certificate(text: str) -> tuple[SeparabilityCertificate, tuple[float, 
     gamma_b = _matrix_from_json(doc["gamma_B"], "gamma_B")
     noise = _matrix_from_json(doc["P"], "P")
     margins = doc["margins"]
+    # NaN, infinities and numbers past the float range would not dump again
     if (not isinstance(margins, list) or len(margins) != 3
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       for x in margins)):
-        raise SchemaError("'margins' must be a list of three numbers")
+                       and abs(x) <= sys.float_info.max for x in margins)):
+        raise SchemaError("'margins' must be a list of three numbers, all finite")
     cert = SeparabilityCertificate(gamma_A=gamma_a, gamma_B=gamma_b, P=noise)
     return cert, (float(margins[0]), float(margins[1]), float(margins[2]))
 

@@ -36,12 +36,7 @@ def ppt_check(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL) -> PptReport:
     ``ppt``, the PSD rule; a decisively negative margin proves entanglement.
     """
     _require_cm(cm, tol)
-    return _transpose_report(_flipped(cm), tol)
-
-
-def _transpose_report(flipped: np.ndarray, tol: ToleranceConfig) -> PptReport:
-    """The transpose test's verdict and margin from one eigensolve of ``_flipped(cm)``."""
-    eigs = np.linalg.eigvalsh(flipped)
+    eigs = np.linalg.eigvalsh(_flipped(cm))
     return PptReport(_psd_rule(eigs, tol), float(eigs[0]))
 
 

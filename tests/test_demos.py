@@ -1,23 +1,31 @@
-"""Every demo script and every ``python`` block of README.md runs against the in-tree package."""
+"""Every demo script, every ``python`` block of README.md and every ``gsep`` line of
+its ``sh`` blocks runs against the in-tree package."""
 
+import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from gsep.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
-                           (ROOT / "README.md").read_text(encoding="utf-8"),
-                           flags=re.MULTILINE | re.DOTALL)
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README, flags=re.MULTILINE | re.DOTALL)
+README_COMMANDS = [line for block in re.findall(r"^```sh\n(.*?)^```$", README,
+                                                flags=re.MULTILINE | re.DOTALL)
+                   for line in block.splitlines() if line.startswith(("gsep ", "# {"))]
 
 
 PRINT_COMMENT = re.compile(r"^print\(.*\)\s+# (.*)$")
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+SHOWN_VALUE = re.compile(r'"(\w+)": ("[^"]*"|-?[\d.eE+-]+)')
 
 
 def run_fresh(argv):
@@ -55,3 +63,21 @@ def test_readme_block_runs_and_prints_what_it_shows(code):
     for line, out in zip(prints, printed):
         shown = PRINT_COMMENT.match(line)
         assert shown is None or same_output(shown.group(1), out), (line, out)
+
+
+def test_readme_command_lines_run_and_print_what_they_show(tmp_path, monkeypatch, capsys):
+    # each "gsep ..." line runs in-process; a "# {...}" comment below it
+    # shows values that the line's JSON output must carry
+    monkeypatch.chdir(tmp_path)
+    shown = {}
+    for line in README_COMMANDS:
+        if line.startswith("gsep "):
+            assert main(shlex.split(line, comments=True)[1:]) == 0, line
+            printed = capsys.readouterr().out
+            continue
+        out = json.loads(printed)
+        for key, value in SHOWN_VALUE.findall(line):
+            assert same_output(value, json.dumps(out[key])), (line, key, out[key])
+            shown[key] = value
+    assert shown == {"margin": "-0.9999999999999987", "verdict": '"entangled"',
+                     "threshold": "0.8646647167629453"}

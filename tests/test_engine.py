@@ -268,13 +268,13 @@ class TestDecide:
         good = tmss(1.0)
         bad = BipartiteCM.from_blocks(0.1 * good.A, 0.1 * good.B, 0.1 * good.C)
         messages = []
-        for call in (decide, map_step, ppt_check):
+        for call in (decide, map_step, ppt_check, find_threshold):
             with pytest.raises(InvalidCMError) as info:
                 call(bad)
             messages.append(str(info.value))
         margin = gaussian.validate_cm(bad).lambda_min
         assert messages == [f"input fails the CM test (margin {margin:.3e}); "
-                            "not a state, refusing to classify"] * 3
+                            "not a state, refusing to classify"] * 4
 
     def test_rejects_bad_max_iter(self):
         with pytest.raises(ValueError, match="max_iter"):
@@ -563,10 +563,10 @@ class TestFindThreshold:
             find_threshold(tmss(1.0), width=width)
 
     def test_zero_perturbation_never_brackets(self, probe_budget):
-        # the transpose test fails up to eps_max, so only the base decide runs
+        # the transpose test fails up to eps_max, so no decide runs
         with pytest.raises(BracketError, match="eps_max"):
             find_threshold(tmss(1.0), np.zeros((4, 4)), eps_max=100.0)
-        assert len(probe_budget) == 1
+        assert len(probe_budget) == 0
 
     def test_no_probe_goes_past_eps_max(self, monkeypatch):
         # ``bracketed``: every eps a search tests, by Cholesky or by decide;
@@ -574,8 +574,8 @@ class TestFindThreshold:
         bracketed, decided = [], []
         bisect, shifted = engine._bisect, engine._shifted
 
-        def spy_bisect(holds, eps_max, width):
-            return bisect(lambda eps: bracketed.append(eps) or holds(eps), eps_max, width)
+        def spy_bisect(holds, *args):
+            return bisect(lambda eps: bracketed.append(eps) or holds(eps), *args)
 
         def spy_shifted(cm, eps, pert=None):
             decided.append(eps)
@@ -592,17 +592,17 @@ class TestFindThreshold:
         assert max(bracketed + decided) == 0.9
         assert abs(threshold - EPS_STAR_R1) <= DEFAULT_TOL.decision_margin
         # the Werner-Wolf fixture passes the transpose test, so its search
-        # probes decide from the start, as it always has
+        # probes decide from the verdict at 0
         decided.clear()
         with pytest.raises(BracketError, match="eps_max=0.05"):
             find_threshold(load_cm(WERNER_WOLF), eps_max=0.05)
-        assert decided == [0.05]
+        assert decided == [0.0, 0.05]
         decided.clear()
         find_threshold(load_cm(WERNER_WOLF))  # the default brackets at eps = 1
-        assert decided[:2] == [1.0, 0.5]
+        assert decided[:3] == [0.0, 1.0, 0.5]
 
-    def test_transpose_bracket_needs_two_decides(self, probe_budget):
-        # the base verdict and one SEPARABLE confirmation at the bracket's top
+    def test_transpose_bracket_needs_one_decide(self, probe_budget):
+        # one SEPARABLE confirmation at the bracket's top
         states = [tmss(r) for r in (0.05, 0.5, 1.0, 2.0)]
         states += [cm for cm in (gaussian.random_cm(2, 2, seed=s) for s in range(8))
                    if not ppt_check(cm).ppt]
@@ -610,7 +610,7 @@ class TestFindThreshold:
         for cm in states:
             probe_budget.clear()
             find_threshold(cm)
-            assert len(probe_budget) <= 2
+            assert len(probe_budget) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(shape=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
@@ -644,8 +644,29 @@ class TestFindThreshold:
         assert not ppt_check(cm).ppt
         threshold = find_threshold(cm)
         assert threshold == 0.3513992390365046
-        assert len(probe_budget) == 16
+        assert len(probe_budget) == 15
         assert threshold >= transpose_top(cm)
+
+    def test_transpose_margin_below_the_band_bounds_the_threshold(self):
+        # ill-conditioned NPT draws (max |gamma| 9e3 to 1e5) shifted just
+        # below their transpose threshold: ppt_check's relative rule calls
+        # them PPT and decide calls them SEPARABLE, yet their transpose
+        # margin lies below the decision band, so they are entangled
+        rng = np.random.default_rng(2024)
+        shifted = []
+        for cm in [random_cm(2, 2, "mixed", rng=rng) for _ in range(60)]:
+            report = ppt_check(cm)
+            if report.ppt:
+                continue
+            for delta in (1e-8, 3e-9, 1e-9, 5e-10, 3e-10, 2e-10):
+                state = engine._shifted(cm, -report.margin - delta)
+                if (ppt_check(state).margin < -DEFAULT_TOL.decision_margin
+                        and decide(state).kind is VerdictKind.SEPARABLE):
+                    shifted.append(state)
+        assert len(shifted) == 12
+        for state in shifted:
+            assert ppt_check(state).ppt
+            assert find_threshold(state) >= transpose_top(state) - 1e-12
 
     def test_guided_search_under_local_maps_matches_the_decide_bisection(self, probe_budget,
                                                                        monkeypatch):

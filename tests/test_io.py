@@ -136,12 +136,15 @@ class TestCertificateRoundTrip:
             parse_certificate(json.dumps({"gamma_A": [[1.0]]}))
 
     @pytest.mark.parametrize("margins", [[0.0, 1.0], "big", [0.0, "x", 1.0],
-                                         [True, False, True]])
+                                         [True, False, True], [0.0, float("nan"), 1.0],
+                                         [float("inf"), 0.0, 1.0], [0.0, 1.0, -float("inf")],
+                                         [0.0, "1e400", 1.0], [10**400, 0.0, 1.0]])
     def test_bad_margins(self, margins):
         doc = json.loads(dump_certificate(*self.make()))
         doc["margins"] = margins
+        # 1e400 overflows a Python float, so it is spliced in as text
         with pytest.raises(SchemaError, match="three numbers"):
-            parse_certificate(json.dumps(doc))
+            parse_certificate(json.dumps(doc).replace('"1e400"', "1e400"))
 
     def test_stream_input(self):
         cert, margins = self.make()
