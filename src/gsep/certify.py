@@ -1,14 +1,25 @@
 """Evidence behind a verdict: separability certificates and entanglement witnesses.
 
-A separable verdict at step ``N`` means ``delta_N = A_N - ||C_N||_op I``
-is itself a valid CM.  That fact propagates backwards through the
-iterates: knowing ``gamma_{k+1} >= delta_{k+1} oplus delta_{k+1}`` yields
+A separable verdict at step ``N`` means ``delta_N`` is itself a valid CM
+with ``gamma_N >= delta_N oplus delta_N``.  The norm test starts from
+``delta_N = A_N - ||C_N||_op I``; the ``|C|`` test, which fired with
+``mu = lambda_min(A_N - |C_N| - iJ)``, starts from ``delta_N = A_N -
+|C_N| - (mu/2) I``.  The ``mu/2`` slack keeps ``gamma_N - delta_N oplus
+delta_N`` positive definite; without it, rounding in the recursion below
+failed to certify about half of the near-threshold states tried.  That
+fact propagates backwards through the iterates: knowing ``gamma_{k+1}
+>= delta_{k+1} oplus delta_{k+1}`` yields
 
     ``gamma_B^(k) = A_k - C_k^T (A_k - delta_{k+1})^+ C_k``,
     ``delta_k     = (delta_{k+1} + gamma_B^(k)) / 2``,
 
-both valid CMs, with ``gamma_k >= delta_k oplus delta_k``.  At ``k = 0``
-the asymmetric form against the original blocks gives
+both valid CMs, with ``gamma_k >= delta_k oplus delta_k``.  Where the
+trace changed its working frame (``IterationStep.frame`` is ``T`` on
+iterate ``k + 1``), iterate ``k + 1`` is the image of ``(S oplus S)
+gamma_k (S oplus S)^T`` with ``S = T^{-1}``, so the walk first maps
+``delta_{k+1} <- T delta_{k+1} T^T`` back into iterate ``k``'s frame; a
+symplectic congruence keeps both the CM test and the order.  At ``k =
+0`` the asymmetric form against the original blocks gives
 
     ``gamma_A = delta_1``,
     ``gamma_B = B_0 - C_0^T (A_0 - delta_1)^+ C_0``,
@@ -32,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (REASON_BLOCK_ENTANGLED, REASON_CONE_ENTANGLED, REASON_NORM_GAP_SEPARABLE,
-                     IterationTrace)
+from .engine import (REASON_ABS_GAP_SEPARABLE, REASON_BLOCK_ENTANGLED, REASON_CONE_ENTANGLED,
+                     REASON_NORM_GAP_SEPARABLE, IterationTrace)
 from .gaussian import BipartiteCM, _direct_sum, _ingest_symmetric, _minus_ij
 from .matlin import DEFAULT_TOL, PsdReport, ToleranceConfig, _schur_complement, psd_check
 
@@ -116,20 +127,31 @@ def reconstruct(trace: IterationTrace, tol: ToleranceConfig = DEFAULT_TOL) -> Se
     already internally consistent; callers should still confirm it
     against the original input with :func:`verify_certificate`.
     """
-    if trace.reason != REASON_NORM_GAP_SEPARABLE or not trace.steps:
+    separable = (REASON_NORM_GAP_SEPARABLE, REASON_ABS_GAP_SEPARABLE)
+    if trace.reason not in separable or not trace.steps:
         raise ValueError(
             "certificates exist only for separable-terminating traces "
             f"(trace ended with: {trace.reason!r})"
         )
     final = trace.steps[-1]
-    delta = _cm_margin(final.A - final.c_opnorm * np.eye(final.A.shape[0]), tol,
-                       "norm-shifted final block", final.index)
+    eye = np.eye(final.A.shape[0])
+    if trace.reason == REASON_NORM_GAP_SEPARABLE:
+        delta = _cm_margin(final.A - final.c_opnorm * eye, tol,
+                           "norm-shifted final block", final.index)
+    else:
+        delta = _cm_margin(final.A - final.abs_C - 0.5 * final.margin_abs * eye, tol,
+                           "|C|-shifted final block", final.index)
 
-    # walk gamma_{k+1} -> gamma_k knowledge down to the first iterate
-    for step in reversed(trace.steps[:-1]):
-        gamma_b_k = _cm_margin(_shur_against(step.A, step.C, delta, step.A, tol, step.index),
-                               tol, "reduced B-block", step.index)
-        delta = _cm_margin((delta + gamma_b_k) / 2.0, tol, "averaged block", step.index)
+    # walk gamma_{k+1} -> gamma_k knowledge down to the input, mapping
+    # delta back through T out of a Williamson frame
+    for step in reversed(trace.steps):
+        if step is not final:
+            gamma_b_k = _cm_margin(_shur_against(step.A, step.C, delta, step.A, tol, step.index),
+                                   tol, "reduced B-block", step.index)
+            delta = _cm_margin((delta + gamma_b_k) / 2.0, tol, "averaged block", step.index)
+        if step.frame is not None:
+            delta = step.frame @ delta @ step.frame.T
+            delta = (delta + delta.T) / 2.0
 
     gamma0 = trace.gamma0
     gamma_a = delta
@@ -147,6 +169,9 @@ def witness(trace: IterationTrace) -> tuple[float, np.ndarray]:
     length ``2n``) when the ``A``-block test fired, and the assembled
     ``gamma_N - iJ`` on ``n + n`` modes (length ``4n``) when the iterate
     left the CM cone.  ``lambda_min`` is the verdict's margin, up to roundoff.
+    Like the iterate, the vector lives in the trace's working frame: after
+    a step that recorded a Williamson frame ``T``, the quadratures are
+    those of ``(S oplus S) gamma (S oplus S)^T`` with ``S = T^{-1}``.
     """
     if trace.reason not in (REASON_BLOCK_ENTANGLED, REASON_CONE_ENTANGLED) or not trace.steps:
         raise ValueError(

@@ -8,6 +8,11 @@ verdicts guided by their margins only when that verdict is not
 separable), and ``gen`` (fixture generation).  Exit codes: 0 when a
 result was computed, 2 on malformed or invalid input, 3 on numerical
 failure.
+
+``check`` reports ``c_opnorm_history``, ``||C_N||_op`` for every iterate.
+After the first undecided step the iteration works in a Williamson frame
+of its own (see :mod:`gsep.engine`), and from iterate 2 on the norms are
+those of that frame, not of the input's.
 """
 
 from __future__ import annotations

@@ -6,21 +6,42 @@ complement ``X = C (B - iJ)^+ C^T`` and replaces the state by
 
     ``A' = B' = A - Re(X)``,   ``C' = -Im(X)``,
 
-a square bipartite CM on ``n + n`` modes.  Two one-sided tests are applied
-to every iterate ``N >= 1``:
+a square bipartite CM on ``n + n`` modes.  Up to four tests are applied
+to every iterate ``N >= 1``, in this order:
 
 * if ``A_N - iJ`` fails the PSD test decisively, the input was entangled;
 * if ``A_N - ||C_N||_op I - iJ`` passes it, the input was separable, and
   the trace retains everything needed to reconstruct an explicit
-  separable decomposition (see :mod:`gsep.certify`).
+  separable decomposition (see :mod:`gsep.certify`);
+* on ``n >= 2`` modes, if ``mu = lambda_min(A_N - |C_N| - iJ)``, with
+  ``|C| = (C^T C)^{1/2}``, exceeds ``+decision_margin``, the input was
+  separable too: ``[[|C|, C], [C^T, |C|]] >= 0`` for antisymmetric
+  ``C``, so ``A_N - |C_N| - (mu/2) I`` is a valid CM that both blocks of
+  the iterate dominate together with ``C_N``.  It fires wherever the
+  norm test would, since ``|C| <= ||C||_op I``; on one mode the two
+  coincide, and the test is skipped;
+* if the iterate stopped being a valid CM, the input was entangled as
+  well; this cone test runs on the pair ``A_N - iJ +/- iC_N``, whose
+  spectra make up that of ``gamma_N - iJ``, and never assembles it.
 
-If an iterate stops being a valid CM before either test fires, the input
-was entangled as well; this cone test runs on the pair ``A_N - iJ +/- iC_N``,
-whose spectra make up that of ``gamma_N - iJ``, and never assembles it.
-All three tests judge their margin by one absolute band: it passes when
-``>= -decision_margin`` and fails below.  Inputs on which no test fires
-come back ``UNDECIDED``, and :func:`decide_robust` is the documented way
-to resolve them by perturbing with ``+/- eps`` times the identity.
+The block, norm and cone tests judge their margin by one absolute band:
+it passes when ``>= -decision_margin`` and fails below.  Inputs on which
+no test fires come back ``UNDECIDED``, and :func:`decide_robust` is the
+documented way to resolve them by perturbing with ``+/- eps`` times the
+identity.
+
+The map commutes with local symplectic maps ``S oplus S``, and a
+symplectic congruence keeps a CM a CM, so the block and cone tests reach
+the same verdicts in any local frame.  The two separable tests do not:
+they fire sooner when ``A_N`` is in Williamson normal form.  After the
+first iterate on which no test fires, :func:`decide` therefore brings it
+to its Williamson frame once, ``S A S^T`` diagonal with symplectic ``S``
+applied as ``S oplus S``, and maps the normalized state on.  The next
+step records ``T = S^{-1}``, through which :mod:`gsep.certify` maps
+evidence back.  Verdicts reached at step 1 never see the frame.  The
+frame is skipped when ``A`` has no Cholesky factor or ``S`` fails the
+symplectic check within ``psd_tol``, and the iteration then goes on
+unnormalized.
 
 An input that fails the CM test is not a state: :func:`decide`,
 :func:`map_step` and :func:`find_threshold` refuse it with
@@ -37,7 +58,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import BipartiteCM, InvalidCMError, _ingest_symmetric, _minus_ij, _require_cm
+from .gaussian import (BipartiteCM, InvalidCMError, _ingest_symmetric, _minus_ij, _require_cm,
+                       symplectic_form)
 from .matlin import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -88,6 +110,7 @@ class VerdictKind(str, Enum):
 REASON_BLOCK_ENTANGLED = "A-block fails the CM test"
 REASON_CONE_ENTANGLED = "iterate left the CM cone"
 REASON_NORM_GAP_SEPARABLE = "norm-shifted A-block passes the CM test"
+REASON_ABS_GAP_SEPARABLE = "|C|-shifted A-block passes the CM test"
 REASON_MAX_ITER = "iteration limit reached"
 
 
@@ -106,7 +129,14 @@ class IterationStep:
     are read from one eigensolve of the pair ``A_N - iJ +/- iC_N``, whose
     spectra make up that of ``gamma_N - iJ``, run on first access and
     cached, because :func:`decide` settles the cone test with a Cholesky
-    gate and needs that eigensolve only when the gate fails.
+    gate and needs that eigensolve only when the gate fails.  So are
+    ``abs_C``, the matrix ``|C_N| = (C_N^T C_N)^{1/2}``, and ``margin_abs``,
+    ``lambda_min(A_N - |C_N| - iJ)``, which only the ``|C|`` test reads.
+
+    ``frame`` is ``T = S^{-1}`` on the first iterate of a new working
+    frame: that iterate is the map's image of ``(S oplus S) gamma_{N-1}
+    (S oplus S)^T``, not of ``gamma_{N-1}``.  It is ``None`` everywhere
+    else.  Blocks and margins are those of the iterate's working frame.
     """
 
     index: int
@@ -115,10 +145,21 @@ class IterationStep:
     margin_A: float
     c_opnorm: float
     a_trnorm: float
+    frame: np.ndarray | None = None
 
     @property
     def margin_L(self) -> float:
         return self.margin_A - self.c_opnorm
+
+    @cached_property
+    def abs_C(self) -> np.ndarray:
+        _, sigma, vt = np.linalg.svd(self.C)
+        out = (vt.T * sigma) @ vt
+        return (out + out.T) / 2.0
+
+    @cached_property
+    def margin_abs(self) -> float:
+        return float(np.linalg.eigvalsh(_minus_ij(self.A - self.abs_C))[0])
 
     def _cone_pair(self) -> np.ndarray:
         """The ``(2, 2n, 2n)`` stack ``A_N - iJ + iC_N``, ``A_N - iJ - iC_N``."""
@@ -155,7 +196,8 @@ class Verdict:
     """Outcome of :func:`decide`.
 
     ``margin`` is the eigenvalue margin of whichever test fired: below
-    ``-decision_margin`` for ENTANGLED, at or above it for SEPARABLE.  For
+    ``-decision_margin`` for ENTANGLED, at or above it for SEPARABLE
+    (above ``+decision_margin`` when the ``|C|`` test fired).  For
     an UNDECIDED verdict of :func:`decide` it is the final ``margin_L``,
     the distance still missing for a separability verdict; one of
     :func:`decide_robust` carries the ``gamma - eps I`` run's margin.
@@ -202,7 +244,7 @@ def map_step(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, validate: bool
     return BipartiteCM.from_blocks(a_next, a_next, c_next)
 
 
-def _make_step(index: int, cm: BipartiteCM) -> IterationStep:
+def _make_step(index: int, cm: BipartiteCM, frame=None) -> IterationStep:
     """Assemble an IterationStep with all margins for iterate ``cm``."""
     return IterationStep(
         index=index,
@@ -211,7 +253,41 @@ def _make_step(index: int, cm: BipartiteCM) -> IterationStep:
         margin_A=float(np.linalg.eigvalsh(_minus_ij(cm.A))[0]),
         c_opnorm=operator_norm(cm.C),
         a_trnorm=trace_norm(cm.A),
+        frame=frame,
     )
+
+
+def _williamson_frame(cm: BipartiteCM, tol: ToleranceConfig):
+    """``((S oplus S) gamma (S oplus S)^T, T)`` for an iterate, with ``S A S^T`` diagonal.
+
+    With the Cholesky factor ``A = L L^T`` and ``K = L^{-1} J L^{-T}``,
+    the eigenvectors ``v_k`` of the Hermitian ``iK`` for its positive
+    eigenvalues ``1/nu_k`` give an orthogonal ``O`` with columns
+    ``sqrt(2) Re v_k``, ``sqrt(2) Im v_k``, and ``T = L O D^{-1/2}``,
+    ``S = D^{1/2} O^T L^{-1}`` with ``D = diag(nu_1, nu_1, nu_2, ...)``;
+    then ``S A S^T = D``, ``S J S^T = J`` and ``T = S^{-1}``.  The
+    iterate's ``B`` is its ``A``, so ``S oplus S`` normalizes both
+    parties.  ``None`` when ``A`` has no Cholesky factor, or when
+    rounding leaves ``max|S J S^T - J| > psd_tol * max(1, max|S|^2)``.
+    """
+    try:
+        low = np.linalg.cholesky(cm.A)
+    except np.linalg.LinAlgError:
+        return None
+    inv_low = np.linalg.inv(low)
+    n = cm.n
+    j = symplectic_form(n)
+    inv_nu, v = np.linalg.eigh(1j * (inv_low @ j @ inv_low.T))
+    ortho = np.empty_like(low)
+    ortho[:, 0::2], ortho[:, 1::2] = v[:, n:].real, v[:, n:].imag
+    ortho *= 2.0 ** 0.5
+    scale = np.repeat(inv_nu[n:] ** -0.5, 2)  # the diagonal of D^{1/2}
+    s = (ortho.T @ inv_low) * scale[:, None]
+    if not np.abs(s @ j @ s.T - j).max() <= tol.psd_tol * max(1.0, float(np.abs(s).max()) ** 2):
+        return None
+    a, c = s @ cm.A @ s.T, s @ cm.C @ s.T
+    a = (a + a.T) / 2.0
+    return BipartiteCM.from_blocks(a, a, (c - c.T) / 2.0), (low @ ortho) / scale
 
 
 def _left_cone(step: IterationStep, tol: ToleranceConfig) -> bool:
@@ -236,10 +312,15 @@ def decide(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 
     :class:`~gsep.gaussian.InvalidCMError` instead of being classified.
     Iterates ``N >= 1`` are tested in order, and the first test that
     fires terminates the run: the entangled test (``margin_A <
-    -decision_margin``), the separable test (``margin_L >=
-    -decision_margin``), then the cone test (``margin_full <
-    -decision_margin``).  The test that fires, or the iteration limit,
-    picks the verdict's kind, margin and reason.
+    -decision_margin``), the norm test (``margin_L >=
+    -decision_margin``), on ``n >= 2`` modes the ``|C|`` test
+    (``margin_abs > decision_margin``), then the cone test
+    (``margin_full < -decision_margin``).  The test that fires, or the
+    iteration limit, picks the verdict's kind, margin and reason.  When
+    no test fires on iterate 1, it is brought to its Williamson frame
+    before the next map step, and iterate 2 records the frame (see the
+    module docstring); blocks, margins and ``c_opnorm_history``
+    from there on are those of the working frame.
 
     Returns:
         A Verdict whose trace retains the input and every iterate, which
@@ -250,19 +331,25 @@ def decide(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 
     _require_cm(cm, tol)
 
     steps: list[IterationStep] = []
-    current = cm
+    current, frame = cm, None
     for index in range(1, max_iter + 1):
         current = map_step(current, tol, validate=False)
-        step = _make_step(index, current)
+        step = _make_step(index, current, frame)
         steps.append(step)
         if step.margin_A < -tol.decision_margin:
             kind, margin, reason = VerdictKind.ENTANGLED, step.margin_A, REASON_BLOCK_ENTANGLED
         elif step.margin_L >= -tol.decision_margin:
             kind, margin, reason = VerdictKind.SEPARABLE, step.margin_L, REASON_NORM_GAP_SEPARABLE
+        elif cm.n >= 2 and step.margin_abs > tol.decision_margin:
+            # on one mode |C| = ||C||_op I, and this would repeat the norm test
+            kind, margin, reason = VerdictKind.SEPARABLE, step.margin_abs, REASON_ABS_GAP_SEPARABLE
         elif _left_cone(step, tol):
             # the iterate itself stopped being a CM: entangled input
             kind, margin, reason = VerdictKind.ENTANGLED, step.margin_full, REASON_CONE_ENTANGLED
         else:
+            frame = None
+            if index == 1 and (framed := _williamson_frame(current, tol)) is not None:
+                current, frame = framed
             continue
         break
     else:

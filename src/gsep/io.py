@@ -51,6 +51,8 @@ def _matrix_from_json(obj, name: str) -> np.ndarray:
         arr = np.array(obj, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{name!r} contains non-numeric entries") from exc
+    except OverflowError as exc:  # an integer past the float range, as 1e400 is
+        raise SchemaError(f"{name!r} contains non-finite entries") from exc
     if not np.all(np.isfinite(arr)):
         raise SchemaError(f"{name!r} contains non-finite entries")
     return arr

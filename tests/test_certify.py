@@ -15,6 +15,7 @@ from gsep.certify import (
     witness,
 )
 from gsep.engine import (
+    REASON_ABS_GAP_SEPARABLE,
     REASON_BLOCK_ENTANGLED,
     REASON_CONE_ENTANGLED,
     REASON_NORM_GAP_SEPARABLE,
@@ -36,13 +37,27 @@ def backward_deltas(trace):
     """Independent replay of the backward recursion, returning every delta_k.
 
     Mirrors the certificate construction step by step so tests can check
-    the invariants gamma_k >= delta_k (+) delta_k at each level.
+    the invariants gamma_k >= delta_k (+) delta_k at each level.  The
+    start is ``A_N - ||C_N|| I`` after the norm test and ``A_N - |C_N| -
+    (mu/2) I`` after the ``|C|`` test; a step that opened a Williamson
+    frame has its delta mapped back through ``T`` before the step below
+    it uses it, and each delta_k is recorded in iterate k's own frame.
     """
     steps = trace.steps
     final = steps[-1]
-    delta = final.A - final.c_opnorm * np.eye(final.A.shape[0])
+    eye = np.eye(final.A.shape[0])
+    if trace.reason == REASON_NORM_GAP_SEPARABLE:
+        delta = final.A - final.c_opnorm * eye
+    else:
+        assert trace.reason == REASON_ABS_GAP_SEPARABLE
+        _, sigma, vt = np.linalg.svd(final.C)
+        abs_c = vt.T @ np.diag(sigma) @ vt
+        mu = np.linalg.eigvalsh(final.A - abs_c - 1j * symplectic_form(len(eye) // 2))[0]
+        delta = final.A - abs_c - 0.5 * mu * eye
     deltas = {final.index: delta}
-    for step in reversed(steps[:-1]):
+    for step, after in zip(reversed(steps[:-1]), reversed(steps)):
+        if after.frame is not None:
+            delta = after.frame @ delta @ after.frame.T
         gap = step.A - delta
         gamma_b = step.A - step.C.T @ pseudoinverse(gap) @ step.C
         delta = (delta + gamma_b) / 2.0
@@ -71,16 +86,21 @@ class TestReconstructClosedForms:
 
 
 class TestReconstructRandom:
+    # one mode per party leaves nothing for a third step once the frame is
+    # taken; the 2+1 and 2+2 inputs end on the norm test and the |C| test
     @pytest.mark.parametrize("n,m,seed,steps", [
-        (1, 1, 1, 3),
-        (2, 1, 0, 3),
-        (2, 2, 37, 4),
+        (1, 1, 1, 2),
+        (2, 1, 1953, 4),
+        (2, 1, 2496, 4),
+        (2, 2, 341, 3),
     ])
     def test_multi_step_round_trip(self, n, m, seed, steps):
         cm = random_cm(n, m, "mixed", seed=seed)
         verdict = decide(cm)
         assert verdict.kind is VerdictKind.SEPARABLE
         assert verdict.step == steps
+        framed = [s.index for s in verdict.trace.steps if s.frame is not None]
+        assert framed == [2]  # the first undecided step opens the frame
         cert = reconstruct(verdict.trace)
         report = verify_certificate(cm, cert)
         assert report.valid
@@ -120,10 +140,12 @@ class TestReconstructRandom:
 
     def test_backward_recursion_invariants(self):
         # every intermediate delta_k must dominate iJ and be dominated by
-        # the iterate: gamma_k >= delta_k (+) delta_k
-        cm = random_cm(2, 2, "mixed", seed=37)
+        # the iterate: gamma_k >= delta_k (+) delta_k; this input ends on
+        # the |C| test and crosses the frame between steps 2 and 1
+        cm = random_cm(2, 2, "mixed", seed=1563)
         verdict = decide(cm)
         assert verdict.step >= 3
+        assert verdict.reason == REASON_ABS_GAP_SEPARABLE
         deltas = backward_deltas(verdict.trace)
         cert = reconstruct(verdict.trace)
         np.testing.assert_allclose(cert.gamma_A, deltas[1], atol=1e-10)
@@ -144,7 +166,7 @@ class TestReconstructFailures:
             reconstruct(verdict.trace)
 
     def test_undecided_trace_is_rejected(self):
-        verdict = decide(random_cm(2, 2, "mixed", seed=37), max_iter=2)
+        verdict = decide(random_cm(2, 2, "mixed", seed=341), max_iter=2)
         with pytest.raises(ValueError, match="separable-terminating"):
             reconstruct(verdict.trace)
 
@@ -213,7 +235,7 @@ class TestWitness:
             witness(verdict.trace)
 
     def test_undecided_trace_is_rejected(self):
-        verdict = decide(random_cm(2, 2, "mixed", seed=37), max_iter=2)
+        verdict = decide(random_cm(2, 2, "mixed", seed=341), max_iter=2)
         assert verdict.kind is VerdictKind.UNDECIDED
         with pytest.raises(ValueError, match="entangled-terminating"):
             witness(verdict.trace)

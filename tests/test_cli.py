@@ -62,7 +62,7 @@ class TestCheck:
         assert json.loads(out)["verdict"] == "separable"
 
     def test_undecided_at_low_iteration_cap(self, tmp_path, capsys):
-        cm = random_cm(2, 2, "mixed", seed=37)
+        cm = random_cm(2, 2, "mixed", seed=341)
         code, out, _ = run(capsys, "check", "--max-iter", "2",
                            "--input", write_cm(tmp_path, cm))
         assert code == 0
@@ -89,6 +89,16 @@ class TestCheckFailures:
         code, out, err = run(capsys, "check", "--input", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "missing keys" in err
+
+    def test_integer_past_the_float_range(self, tmp_path, capsys):
+        # one line on stderr and exit 2, not an OverflowError traceback
+        doc = json.loads(dump_cm(tmss(1.0)))
+        doc["gamma"][0][0] = 10 ** 400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: 'gamma' contains non-finite entries\n"
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "check", "--input", str(tmp_path / "nope.json"))
@@ -153,7 +163,7 @@ class TestCertify:
         assert abs(doc["lambda_min"] - gsep.decide(cm).margin) <= 1e-12
 
     def test_undecided_reports_margin(self, tmp_path, capsys):
-        cm = random_cm(2, 2, "mixed", seed=37)
+        cm = random_cm(2, 2, "mixed", seed=341)
         code, out, _ = run(capsys, "certify", "--max-iter", "2",
                            "--input", write_cm(tmp_path, cm))
         assert code == 0
@@ -306,7 +316,7 @@ class TestCanonicalOutput:
                                                              argv, state):
         cm = {"separable": random_separable_cm(2, 1, seed=3)[0],
               "entangled": tmss(1.0),
-              "multi-step": random_cm(2, 2, "mixed", seed=37)}[state]
+              "multi-step": random_cm(2, 2, "mixed", seed=341)}[state]
         code, out, _ = run(capsys, *argv, "--input", write_cm(tmp_path, cm))
         assert code == 0
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"

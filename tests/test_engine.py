@@ -13,6 +13,7 @@ import gsep.gaussian as gaussian
 from gsep.certify import reconstruct, verify_certificate
 from gsep.engine import (
     BracketError,
+    REASON_ABS_GAP_SEPARABLE,
     REASON_BLOCK_ENTANGLED,
     REASON_CONE_ENTANGLED,
     REASON_MAX_ITER,
@@ -179,12 +180,13 @@ class TestTheoremChecks:
         step = engine._make_step(1, cm)
         assert step.margin_A == pytest.approx(1.0, abs=1e-12)
         assert step.margin_L == pytest.approx(-0.5, abs=1e-12)
-        # iterates 1-3 of this state sit between the tests, inside the
-        # CM cone, so decide goes on to step 4
-        verdict = decide(random_cm(2, 2, "mixed", seed=37))
-        assert verdict.step == 4
+        # iterates 1-2 of this state sit between the tests, the |C| test
+        # included, inside the CM cone, so decide goes on to step 3
+        verdict = decide(random_cm(2, 2, "mixed", seed=341))
+        assert verdict.step == 3
         for step in verdict.trace.steps[:-1]:
             assert step.margin_A > 0.1 and step.margin_L < -0.01
+            assert step.margin_abs < -DEFAULT_TOL.decision_margin
             assert step.margin_full > 0.0
 
     def test_margin_identity(self):
@@ -281,19 +283,20 @@ class TestDecide:
             decide(vacuum(), max_iter=0)
 
     def test_trace_records_everything(self):
-        cm = random_cm(2, 2, "mixed", seed=37)  # separable in 4 steps
+        cm = random_cm(2, 2, "mixed", seed=341)  # separable in 3 steps
         verdict = decide(cm)
         assert verdict.kind is VerdictKind.SEPARABLE
-        assert verdict.step == 4
+        assert verdict.step == 3
         trace = verdict.trace
         assert trace.gamma0 is cm
-        assert [s.index for s in trace.steps] == [1, 2, 3, 4]
-        assert len(trace.c_opnorm_history) == 4
+        assert [s.index for s in trace.steps] == [1, 2, 3]
+        assert [s.frame is not None for s in trace.steps] == [False, True, False]
+        assert len(trace.c_opnorm_history) == 3
         # couplings shrink towards the separable verdict
         assert trace.c_opnorm_history[-1] < trace.c_opnorm_history[0]
 
     def test_undecided_when_iteration_budget_too_small(self):
-        cm = random_cm(2, 2, "mixed", seed=37)
+        cm = random_cm(2, 2, "mixed", seed=341)
         verdict = decide(cm, max_iter=2)
         assert verdict.kind is VerdictKind.UNDECIDED
         assert verdict.step == 2
@@ -316,6 +319,120 @@ class TestDecide:
         for step in verdict.trace.steps:
             np.testing.assert_array_equal(step.A, step.A.T)
             np.testing.assert_array_equal(step.C, -step.C.T)
+
+
+def near_boundary(k, delta, seed):
+    """``k + k`` thermal TMSS pairs ``delta`` beyond their noise threshold, mixed locally.
+
+    Each pair is separable exactly from ``1 - nu e^{-2r}`` of identity
+    noise, and local symplectic maps keep the state separable; the
+    benchmark's near-boundary states are built the same way.
+    """
+    rng = np.random.default_rng(seed)
+    r, nu = rng.uniform(0.2, 0.6, k), rng.uniform(1.0, 1.2, k)
+    ch = np.repeat(nu * np.cosh(2.0 * r), 2)
+    sh = np.ravel(np.column_stack([nu * np.sinh(2.0 * r), -nu * np.sinh(2.0 * r)]))
+    eps = float(np.max(1.0 - nu * np.exp(-2.0 * r))) + delta
+    gamma = np.block([[np.diag(ch), np.diag(sh)], [np.diag(sh), np.diag(ch)]])
+    local = _direct_sum(random_symplectic(k, rng), random_symplectic(k, rng))
+    return BipartiteCM.from_gamma(local @ (gamma + eps * np.eye(4 * k)) @ local.T, k, k)
+
+
+def locally_mapped(cm, seed):
+    rng = np.random.default_rng(seed)
+    local = _direct_sum(random_symplectic(cm.n, rng), random_symplectic(cm.m, rng))
+    mapped = local @ cm.gamma @ local.T
+    return BipartiteCM.from_gamma((mapped + mapped.T) / 2.0, cm.n, cm.m)
+
+
+class TestWilliamsonFrame:
+    """The frame taken after the first undecided step, and the |C| test."""
+
+    @pytest.mark.parametrize("k", [4, 8])
+    @pytest.mark.parametrize("delta", [1e-4, 1e-6])
+    def test_near_boundary_states_decide_in_two_steps(self, k, delta):
+        # 7 to 11 steps without the frame; the certificate crosses the
+        # frame on its way down and verifies against the original gamma
+        cm = near_boundary(k, delta, seed=k)
+        verdict = decide(cm)
+        assert verdict.kind is VerdictKind.SEPARABLE
+        assert verdict.step <= 2
+        assert verdict.trace.steps[1].frame is not None
+        assert verify_certificate(cm, reconstruct(verdict.trace)).valid
+
+    def test_frame_is_symplectic_and_diagonalizes(self):
+        iterate = map_step(random_cm(2, 2, "mixed", seed=341))
+        framed, t = engine._williamson_frame(iterate, DEFAULT_TOL)
+        j = symplectic_form(2)
+        nu = np.diag(framed.A)
+        np.testing.assert_allclose(framed.A, np.diag(nu), atol=1e-12)
+        np.testing.assert_allclose(nu[0::2], nu[1::2], atol=1e-12)
+        assert framed.B is framed.A
+        np.testing.assert_allclose(t @ j @ t.T, j, atol=1e-12)
+        np.testing.assert_allclose(t @ framed.A @ t.T, iterate.A, atol=1e-12)
+        np.testing.assert_allclose(t @ framed.C @ t.T, iterate.C, atol=1e-12)
+
+    def test_no_frame_without_a_cholesky_factor(self):
+        indefinite = BipartiteCM.from_blocks(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]),
+                                             np.zeros((2, 2)))
+        assert engine._williamson_frame(indefinite, DEFAULT_TOL) is None
+
+    def test_ill_conditioned_input_takes_no_frame(self, monkeypatch):
+        # a separable 2+2 state with both modes of one party squeezed by
+        # e^13: the first iterate has no Cholesky factor, so the run goes on
+        # unnormalized and ends as a run that never tries the frame ends.
+        # Its verdict is decided by rounding (max|gamma| is 9e15), as it
+        # was before the frame existed; only the absence of a frame is pinned
+        rng = np.random.default_rng(4)
+        squeeze = np.exp(np.outer([13.0, 13.0], [1.0, -1.0]).ravel())
+        s_a = (gaussian._passive(2, rng) * squeeze) @ gaussian._passive(2, rng)
+        local = _direct_sum(s_a, np.eye(4))
+        mapped = local @ random_cm(2, 2, "mixed", seed=2644).gamma @ local.T
+        cm = BipartiteCM.from_gamma((mapped + mapped.T) / 2.0, 2, 2)
+        verdict = decide(cm)
+        assert verdict.step >= 2
+        assert all(step.frame is None for step in verdict.trace.steps)
+        monkeypatch.setattr(engine, "_williamson_frame", lambda cm, tol: None)
+        unframed = decide(cm)
+        assert (verdict.kind, verdict.step, verdict.margin) == (
+            unframed.kind, unframed.step, unframed.margin)
+
+    def test_abs_test_fires_where_the_norm_test_does_not(self):
+        verdict = decide(random_cm(2, 2, "mixed", seed=1563))
+        assert verdict.reason == REASON_ABS_GAP_SEPARABLE
+        final = verdict.trace.steps[-1]
+        assert verdict.margin == final.margin_abs > DEFAULT_TOL.decision_margin
+        assert final.margin_L < -DEFAULT_TOL.decision_margin
+        # |C| = (C^T C)^{1/2}, and [[|C|, C], [C^T, |C|]] is PSD
+        np.testing.assert_allclose(final.abs_C @ final.abs_C, final.C.T @ final.C, atol=1e-12)
+        pair = np.block([[final.abs_C, final.C], [final.C.T, final.abs_C]])
+        assert np.linalg.eigvalsh(pair)[0] >= -1e-12
+
+    def test_one_mode_iterates_skip_the_abs_test(self):
+        # on one mode |C| = ||C||_op I, so the norm test already decided it
+        verdict = decide(random_cm(1, 2, "mixed", seed=0))
+        assert verdict.step == 2 and verdict.trace.steps[1].frame is not None
+        assert verdict.reason == REASON_NORM_GAP_SEPARABLE
+        assert all("margin_abs" not in vars(step) for step in verdict.trace.steps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(delta=st.floats(1e-4, 1e-2), state_seed=st.integers(0, 2**32 - 1),
+           local_seed=st.integers(0, 2**32 - 1))
+    def test_deep_verdicts_invariant_under_local_symplectic_maps(self, delta, state_seed,
+                                                                 local_seed):
+        # the frame switch runs on both sides: near-boundary 2+2 states stay
+        # SEPARABLE with a valid certificate, and the PPT-entangled
+        # Werner-Wolf state stays ENTANGLED under the same local map
+        cm = near_boundary(2, delta, state_seed)
+        verdict = decide(cm)
+        assume(verdict.step >= 2)
+        assert verdict.trace.steps[1].frame is not None
+        mapped = locally_mapped(cm, local_seed)
+        after = decide(mapped)
+        assert after.kind is VerdictKind.SEPARABLE
+        assert verify_certificate(mapped, reconstruct(after.trace)).valid
+        bound = locally_mapped(load_cm(WERNER_WOLF), local_seed)
+        assert decide(bound).kind is VerdictKind.ENTANGLED
 
 
 class TestIterationInvariants:
@@ -628,12 +745,18 @@ class TestFindThreshold:
         assert abs(find_threshold(cm) - (-ppt_check(cm).margin)) <= 2e-12
 
     def test_ppt_input_threshold_takes_the_margin_guided_search(self, probe_budget):
-        # the transpose test cannot bracket a PPT state; step 2's cone
-        # margin places the probes, 15 decides where bisection took 42
+        # the transpose test cannot bracket a PPT state, so the search runs
+        # on verdicts; separable probes now fire at step 1 and entangled
+        # ones at step 2, so the cone margin rarely places a probe, and the
+        # search takes 33 decides where bisection takes 42.  With fewer
+        # steps the band covers a wider eps range below the threshold:
+        # the value sits 3.8e-11 below the 15-decide value of the
+        # unframed iteration, 0.09786679022271991
         threshold = find_threshold(load_cm(WERNER_WOLF))
-        assert threshold == 0.09786679022271991
-        assert len(probe_budget) == 15
-        assert abs(threshold - 0.09786679022317912) <= 1e-12  # the bisection's value
+        assert threshold == 0.09786679018514767
+        assert len(probe_budget) == 33
+        assert abs(threshold - 0.09786679018498035) <= 1e-12  # the bisection's value
+        assert abs(threshold - 0.09786679022271991) <= 1e-10
 
     def test_unconfirmed_bracket_continues_with_the_margin_guided_search(self, probe_budget):
         # the sixth 2+2 draw's decide threshold lies above the top of its
@@ -644,7 +767,7 @@ class TestFindThreshold:
         assert not ppt_check(cm).ppt
         threshold = find_threshold(cm)
         assert threshold == 0.3513992390365046
-        assert len(probe_budget) == 15
+        assert len(probe_budget) == 19
         assert threshold >= transpose_top(cm)
 
     def test_transpose_margin_below_the_band_bounds_the_threshold(self):
@@ -716,6 +839,6 @@ class TestFindThreshold:
             find_threshold(tmss(1.0), eps_max=eps_max)
 
     def test_undecided_base_raises(self):
-        cm = random_cm(2, 2, "mixed", seed=37)  # needs 4 steps
+        cm = random_cm(2, 2, "mixed", seed=37)  # needs 2 steps
         with pytest.raises(BracketError, match="undecided"):
             find_threshold(cm, max_iter=1)

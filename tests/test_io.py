@@ -98,6 +98,13 @@ class TestCmSchemaErrors:
         with pytest.raises(SchemaError, match="non-finite"):
             parse_cm(text)
 
+    def test_integer_past_the_float_range(self):
+        # JSON integers are unbounded; one with 401 digits does not fit a float
+        doc = self.good()
+        doc["gamma"][0][0] = 10 ** 400
+        with pytest.raises(SchemaError, match="'gamma' contains non-finite entries"):
+            parse_cm(json.dumps(doc))
+
     def test_wrong_size(self):
         doc = self.good()
         doc["m"] = 2
