@@ -99,13 +99,22 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    """Verdict plus evidence: a verified certificate, or :func:`~gsep.certify.witness`."""
+    """Verdict plus evidence: a verified certificate, or :func:`~gsep.certify.witness`.
+
+    A certificate that :func:`~gsep.certify.verify_certificate` rejects is
+    a numerical failure, reported with its three margins, not printed.
+    """
     cm = load_cm(args.input)
     tol = _tolerances(args)
     verdict = decide(cm, tol, args.max_iter)
     if verdict.kind is VerdictKind.SEPARABLE:
         certificate = reconstruct(verdict.trace, tol)
         report = verify_certificate(cm, certificate, tol)
+        if not report.valid:
+            raise CertificateError(
+                "certificate fails verification (margins of gamma_A - iJ, gamma_B - iJ "
+                "and gamma - gamma_A oplus gamma_B: "
+                + ", ".join(f"{margin:.3e}" for margin in report.margins) + ")")
         _write(dump_certificate(certificate, report.margins), args.output)
         return 0
     if verdict.kind is VerdictKind.ENTANGLED:

@@ -36,9 +36,13 @@ the same verdicts in any local frame.  The two separable tests do not:
 they fire sooner when ``A_N`` is in Williamson normal form.  After the
 first iterate on which no test fires, :func:`decide` therefore brings it
 to its Williamson frame once, ``S A S^T`` diagonal with symplectic ``S``
-applied as ``S oplus S``, and maps the normalized state on.  The next
-step records ``T = S^{-1}``, through which :mod:`gsep.certify` maps
-evidence back.  Verdicts reached at step 1 never see the frame.  The
+applied as ``S oplus S``, and maps the normalized state on.  There ``A``
+is ``D = diag(nu_1, nu_1, nu_2, ...)``, whose ``(D - iJ)^+`` is
+closed-form per mode, so the frame yields iterate 2 itself from two real
+matrix products, with no eigensolve and without assembling the framed
+iterate.  Iterate 2 records ``T = S^{-1}``, through which
+:mod:`gsep.certify` maps evidence back.  Verdicts reached at step 1
+never see the frame.  The
 frame is skipped when ``A`` has no Cholesky factor or ``S`` fails the
 symplectic check within ``psd_tol``, and the iteration then goes on
 unnormalized.
@@ -235,13 +239,41 @@ def map_step(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, validate: bool
         _require_cm(cm, tol)
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports it
         x = cm.C @ pseudoinverse(_minus_ij(cm.B), tol) @ cm.C.T
-    if not np.all(np.isfinite(x)):
+    return _next_iterate(cm.A, x.real, x.imag)
+
+
+def _next_iterate(a: np.ndarray, x_re: np.ndarray, x_im: np.ndarray) -> BipartiteCM:
+    """The iterate ``A' = B' = A - x_re``, ``C' = -x_im`` from a finite Schur complement ``x``."""
+    if not (np.all(np.isfinite(x_re)) and np.all(np.isfinite(x_im))):
         raise NumericalError("map produced a non-finite Schur complement")
-    a_next = cm.A - x.real
+    a_next = a - x_re
     a_next = (a_next + a_next.T) / 2.0
-    c_next = -x.imag
+    c_next = -x_im
     c_next = (c_next - c_next.T) / 2.0
     return BipartiteCM.from_blocks(a_next, a_next, c_next)
+
+
+def _williamson_step(nu: np.ndarray, c: np.ndarray, tol: ToleranceConfig) -> BipartiteCM:
+    """:func:`map_step` of ``[[D, C], [C^T, D]]`` with ``D = diag(nu_1, nu_1, nu_2, ...)``.
+
+    Per mode, ``(nu I - iJ_1)^+ = (nu I + iJ_1) / (nu^2 - 1)``; on a
+    kernel mode, whose eigenvalue ``nu - 1`` of ``D - iJ`` lies at or
+    below ``pinv_rcond * (nu_max + 1)`` (the rule of
+    :func:`~gsep.matlin._eigh_kernel`, tolerance-level ``nu < 1``
+    included), it is ``(I - iJ_1) / (2 (nu + 1))``.  So ``(D - iJ)^+ = R
+    + i Theta`` with diagonal ``R`` and ``Theta`` a direct sum of
+    multiples of ``J_1``, and the step is ``A' = D - C R C^T``, ``C' = -C
+    Theta C^T``: two real products and no eigensolve.  ``C`` must be
+    antisymmetric, as the framed iterate's is.
+    """
+    kernel = nu - 1.0 <= tol.pinv_rcond * (float(nu.max()) + 1.0)
+    theta = 1.0 / np.where(kernel, -2.0 * (nu + 1.0), (nu - 1.0) * (nu + 1.0))
+    r = np.where(kernel, -theta, nu * theta)
+    c_theta = np.empty_like(c)  # C Theta, with J_1 = [[0, -1], [1, 0]] per mode
+    c_theta[:, 0::2], c_theta[:, 1::2] = c[:, 1::2] * theta, c[:, 0::2] * -theta
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports it
+        x_re, x_im = (c * np.repeat(r, 2)) @ c.T, c_theta @ c.T
+    return _next_iterate(np.diag(np.repeat(nu, 2)), x_re, x_im)
 
 
 def _make_step(index: int, cm: BipartiteCM, frame=None) -> IterationStep:
@@ -258,7 +290,7 @@ def _make_step(index: int, cm: BipartiteCM, frame=None) -> IterationStep:
 
 
 def _williamson_frame(cm: BipartiteCM, tol: ToleranceConfig):
-    """``((S oplus S) gamma (S oplus S)^T, T)`` for an iterate, with ``S A S^T`` diagonal.
+    """``(next iterate, T)`` for an iterate, mapped on in the frame where ``S A S^T`` is diagonal.
 
     With the Cholesky factor ``A = L L^T`` and ``K = L^{-1} J L^{-T}``,
     the eigenvectors ``v_k`` of the Hermitian ``iK`` for its positive
@@ -267,8 +299,11 @@ def _williamson_frame(cm: BipartiteCM, tol: ToleranceConfig):
     ``S = D^{1/2} O^T L^{-1}`` with ``D = diag(nu_1, nu_1, nu_2, ...)``;
     then ``S A S^T = D``, ``S J S^T = J`` and ``T = S^{-1}``.  The
     iterate's ``B`` is its ``A``, so ``S oplus S`` normalizes both
-    parties.  ``None`` when ``A`` has no Cholesky factor, or when
-    rounding leaves ``max|S J S^T - J| > psd_tol * max(1, max|S|^2)``.
+    parties.  The framed iterate ``(S oplus S) gamma (S oplus S)^T`` is
+    never assembled: its ``A`` is ``D`` by construction, and the map
+    step from it is :func:`_williamson_step` on ``nu`` and ``S C S^T``.
+    ``None`` when ``A`` has no Cholesky factor, or when rounding leaves
+    ``max|S J S^T - J| > psd_tol * max(1, max|S|^2)``.
     """
     try:
         low = np.linalg.cholesky(cm.A)
@@ -285,9 +320,8 @@ def _williamson_frame(cm: BipartiteCM, tol: ToleranceConfig):
     s = (ortho.T @ inv_low) * scale[:, None]
     if not np.abs(s @ j @ s.T - j).max() <= tol.psd_tol * max(1.0, float(np.abs(s).max()) ** 2):
         return None
-    a, c = s @ cm.A @ s.T, s @ cm.C @ s.T
-    a = (a + a.T) / 2.0
-    return BipartiteCM.from_blocks(a, a, (c - c.T) / 2.0), (low @ ortho) / scale
+    c = s @ cm.C @ s.T
+    return _williamson_step(1.0 / inv_nu[n:], (c - c.T) / 2.0, tol), (low @ ortho) / scale
 
 
 def _left_cone(step: IterationStep, tol: ToleranceConfig) -> bool:
@@ -317,10 +351,10 @@ def decide(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 
     (``margin_abs > decision_margin``), then the cone test
     (``margin_full < -decision_margin``).  The test that fires, or the
     iteration limit, picks the verdict's kind, margin and reason.  When
-    no test fires on iterate 1, it is brought to its Williamson frame
-    before the next map step, and iterate 2 records the frame (see the
-    module docstring); blocks, margins and ``c_opnorm_history``
-    from there on are those of the working frame.
+    no test fires on iterate 1, it is brought to its Williamson frame,
+    which maps it on to iterate 2 in closed form, and iterate 2 records
+    the frame (see the module docstring); blocks, margins and
+    ``c_opnorm_history`` from there on are those of the working frame.
 
     Returns:
         A Verdict whose trace retains the input and every iterate, which
@@ -333,7 +367,8 @@ def decide(cm: BipartiteCM, tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 
     steps: list[IterationStep] = []
     current, frame = cm, None
     for index in range(1, max_iter + 1):
-        current = map_step(current, tol, validate=False)
+        if frame is None:  # otherwise the frame has mapped it on already
+            current = map_step(current, tol, validate=False)
         step = _make_step(index, current, frame)
         steps.append(step)
         if step.margin_A < -tol.decision_margin:

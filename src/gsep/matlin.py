@@ -11,6 +11,10 @@ factorization fails; a report whose gate passed solves ``lambda_min`` on
 first read.  One kernel rule serves the decision map, certificate
 reconstruction and :func:`schur_psd`: eigenvalues at or below ``pinv_rcond
 * max(lambda_max, 0)``, tolerance-level negatives included, are zeroed.
+The Schur complements of the last two follow the same gate-then-exact
+pattern: a Cholesky factor whose inverse bounds every eigenvalue well
+above that cutoff proves the kernel empty, and only without one does the
+eigensolve that applies the rule run.
 """
 
 from __future__ import annotations
@@ -205,29 +209,43 @@ def _schur_complement(outer: np.ndarray, coupling: np.ndarray, inner: np.ndarray
                       tol: ToleranceConfig):
     """The Schur complement of ``inner`` in ``[[outer, coupling], [coupling^T, inner]]``.
 
-    One :func:`_eigh_kernel` of the real symmetric ``inner`` yields all
-    three facts that decide whether that block matrix is PSD.  The
-    product with the inverse is the Gram matrix ``W W^T`` of ``W =
-    coupling V Lambda^{-1/2}`` over the eigenvalues above the cutoff,
-    never an explicit inverse, whose rounding grows with
-    ``||coupling||^2 cond(inner)``.  Returns
-    ``(complement, inner_psd, inner_margin, kernel_ok, residual)``:
-    ``outer - coupling inner^+ coupling^T`` symmetrized; whether
-    ``inner`` passes the PSD rule, with ``lambda_min(inner)``; and
-    whether ``||coupling v|| <= psd_tol * max(1, ||coupling||_op)`` for
-    every kernel vector ``v`` of ``inner``, with the worst such residual.
+    A Cholesky factor ``inner = L L^T`` with ``||inner||_inf
+    ||L^{-1}||_F^2 pinv_rcond < 1/2`` proves the kernel empty: every
+    eigenvalue is at least ``1/||L^{-1}||_F^2``, more than twice the
+    cutoff ``pinv_rcond * lambda_max``.  The complement is then ``outer -
+    W W^T`` with ``W = coupling L^{-T}``, and no eigensolve runs.
+    Otherwise one :func:`_eigh_kernel` of the real symmetric ``inner``
+    yields all three facts that decide whether that block matrix is PSD,
+    and the product with the inverse is the Gram matrix ``W W^T`` of ``W
+    = coupling V Lambda^{-1/2}`` over the eigenvalues above the cutoff.
+    Neither path forms an explicit inverse of ``inner``, whose rounding
+    grows with ``||coupling||^2 cond(inner)``.  Returns ``(complement,
+    inner_psd, inner_margin, kernel_ok, residual)``: ``outer - coupling
+    inner^+ coupling^T`` symmetrized; whether ``inner`` passes the PSD
+    rule, with ``lambda_min(inner)`` (on the Cholesky path, the lower
+    bound ``1/||L^{-1}||_F^2``); and whether ``||coupling v|| <= psd_tol
+    * max(1, ||coupling||_op)`` for every kernel vector ``v`` of
+    ``inner``, with the worst such residual.
     """
-    eigs, vecs, kernel = _eigh_kernel(inner, tol)
-    proj = coupling @ vecs
-    kernel_ok, residual = True, 0.0
-    if kernel.any():
-        residuals = np.linalg.norm(proj[:, kernel], axis=0)
-        allowance = tol.psd_tol * max(1.0, operator_norm(coupling))
-        kernel_ok, residual = bool(np.all(residuals <= allowance)), float(residuals.max())
-    gram = proj[:, ~kernel] / np.sqrt(eigs[~kernel])
+    try:
+        inv_low = np.linalg.inv(np.linalg.cholesky(inner))
+        bound = 1.0 / float(np.sum(inv_low * inv_low))  # lambda_min(inner) >= bound
+    except np.linalg.LinAlgError:
+        bound = 0.0
+    if float(np.abs(inner).sum(axis=1).max()) * tol.pinv_rcond < 0.5 * bound:
+        gram, inner_psd, margin, kernel_ok, residual = coupling @ inv_low.T, True, bound, True, 0.0
+    else:
+        eigs, vecs, kernel = _eigh_kernel(inner, tol)
+        proj = coupling @ vecs
+        kernel_ok, residual = True, 0.0
+        if kernel.any():
+            residuals = np.linalg.norm(proj[:, kernel], axis=0)
+            allowance = tol.psd_tol * max(1.0, operator_norm(coupling))
+            kernel_ok, residual = bool(np.all(residuals <= allowance)), float(residuals.max())
+        gram = proj[:, ~kernel] / np.sqrt(eigs[~kernel])
+        inner_psd, margin = _psd_rule(eigs, tol), float(eigs[0])
     complement = outer - gram @ gram.T
-    return ((complement + complement.T) / 2.0, _psd_rule(eigs, tol), float(eigs[0]),
-            kernel_ok, residual)
+    return (complement + complement.T) / 2.0, inner_psd, margin, kernel_ok, residual
 
 
 def pseudoinverse(mat, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

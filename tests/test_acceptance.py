@@ -177,7 +177,8 @@ def test_criterion_5_trace_norm_monotone_and_floored():
         rng = np.random.default_rng(505)
         sizes = [(1, 1), (2, 1), (1, 2), (2, 2)]
         population = [tmss(0.5), tmss(1.0)]
-        # known multi-step separable inputs, 3 to 4 iterates each
+        # known separable inputs that took 3 to 4 iterates before the
+        # Williamson frame, and now take 2, 1 and 2
         population += [random_cm(1, 1, "mixed", seed=1),
                        random_cm(2, 1, "mixed", seed=0),
                        random_cm(2, 2, "mixed", seed=37)]

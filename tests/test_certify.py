@@ -202,6 +202,20 @@ class TestReconstructFailures:
                            match=r"A - delta at step 0 is not PSD \(margin -1.000e\+00\)"):
             reconstruct(trace)
 
+    def test_gap_without_a_factor_quotes_the_eigensolve_margin(self, monkeypatch, lapack_calls):
+        # delta_1 = diag(1, 2.001) and A_0 = 2 I leave A_0 - delta_1 =
+        # diag(1, -1e-3): its Cholesky factorization fails, and the one
+        # eigensolve of the fallback supplies the quoted margin
+        step = IterationStep(index=1, A=np.diag([1.0, 2.001]), C=np.zeros((2, 2)),
+                             margin_A=0.382, c_opnorm=0.0, a_trnorm=3.001)
+        gamma0 = BipartiteCM.from_blocks(2.0 * np.eye(2), 2.0 * np.eye(2), np.zeros((2, 2)))
+        trace = IterationTrace(gamma0, (step,), REASON_NORM_GAP_SEPARABLE)
+        with pytest.raises(CertificateError,
+                           match=r"A - delta at step 0 is not PSD \(margin -1.000e-03\)"):
+            reconstruct(trace)
+        monkeypatch.undo()
+        assert lapack_calls.shapes("eigh") == [(2, 2)]
+
 
 class TestWitness:
     def test_block_test_witness_is_the_a_block_eigenpair(self):

@@ -78,14 +78,19 @@ def test_gated_runs_equal_the_exact_path(monkeypatch):
     assert any(fp[3] == engine.REASON_CONE_ENTANGLED for fp in gated)
 
 
-@pytest.mark.parametrize("cm", [random_separable_cm(2, 1, seed=4)[0],
-                                random_cm(2, 1, "mixed", seed=0)],
-                         ids=["planted-one-step", "mixed-three-steps"])
-def test_separable_run_skips_the_full_iterate_eigensolve(cm, monkeypatch, lapack_calls):
+@pytest.mark.parametrize("cm, min_step", [(random_separable_cm(2, 1, seed=4)[0], 1),
+                                          (random_cm(2, 1, "mixed", seed=0), 1),
+                                          (random_cm(2, 1, "mixed", seed=1953), 2)],
+                         ids=["planted-one-step", "mixed-one-step", "mixed-four-steps"])
+def test_separable_run_skips_the_full_iterate_eigensolve(cm, min_step, monkeypatch,
+                                                         lapack_calls):
+    # past step 1 the run goes through the Williamson frame, its closed-form
+    # step and the |C| test, none of which may solve the 4n x 4n iterate
     verdict = decide(cm)
     monkeypatch.undo()
     shapes = lapack_calls.shapes("eigvalsh")
     assert verdict.kind is VerdictKind.SEPARABLE
+    assert verdict.step >= min_step
     full = 4 * cm.n
     assert shapes and (full, full) not in shapes
     j = symplectic_form(cm.n)

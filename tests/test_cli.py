@@ -122,6 +122,29 @@ class TestCertify:
         assert cert.gamma_B.shape == (2, 2)
         assert all(x >= -1e-8 for x in margins)
 
+    def test_rejected_certificate_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # gamma_A - t I with P + t I oplus 0 still reproduces gamma, but
+        # gamma_A - t I fails the CM test
+        cm = random_separable_cm(2, 1, seed=3)[0]
+        t = 10.0
+
+        def tampered(trace, tol):
+            cert = gsep.reconstruct(trace, tol)
+            shift = np.zeros_like(cert.P)
+            shift[:4, :4] = t * np.eye(4)
+            return gsep.SeparabilityCertificate(cert.gamma_A - t * np.eye(4), cert.gamma_B,
+                                                cert.P + shift)
+
+        monkeypatch.setattr(gsep.cli, "reconstruct", tampered)
+        code, out, err = run(capsys, "certify", "--input", write_cm(tmp_path, cm))
+        assert code == 3
+        assert out == ""
+        cert = tampered(gsep.decide(cm).trace, DEFAULT_TOL)
+        report = gsep.verify_certificate(cm, cert)
+        assert not report.valid and report.checks[0].lambda_min < 0
+        assert err.startswith("numerical failure: certificate fails verification")
+        assert ", ".join(f"{margin:.3e}" for margin in report.margins) in err
+
     def test_entangled_emits_witness(self, tmp_path, capsys):
         code, out, _ = run(capsys, "certify", "--input", write_cm(tmp_path, tmss(1.0)))
         assert code == 0

@@ -345,6 +345,23 @@ def locally_mapped(cm, seed):
     return BipartiteCM.from_gamma((mapped + mapped.T) / 2.0, cm.n, cm.m)
 
 
+@st.composite
+def framed_iterates(draw):
+    """``(nu, C)`` of a framed iterate ``[[D, C], [C^T, D]]``, ``D = diag(nu_1, nu_1, ...)``.
+
+    Each ``nu`` is a kernel mode of ``D - iJ``, exactly 1 or a
+    tolerance-level step below it, or lies in ``[1.1, 20]``, where the
+    eigensolve behind :func:`map_step` resolves ``nu - 1`` to a few
+    ulps of ``nu + 1``.  ``C`` is antisymmetric.
+    """
+    n = draw(st.integers(1, 4))
+    nu = np.array([draw(st.one_of(st.just(1.0), st.integers(1, 100).map(lambda k: 1.0 - k * 2e-16),
+                                  st.floats(1.1, 20.0))) for _ in range(n)])
+    entries = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    c = np.array(draw(st.lists(entries, min_size=4 * n * n, max_size=4 * n * n))).reshape(2 * n, 2 * n)
+    return nu, c - c.T
+
+
 class TestWilliamsonFrame:
     """The frame taken after the first undecided step, and the |C| test."""
 
@@ -361,16 +378,54 @@ class TestWilliamsonFrame:
         assert verify_certificate(cm, reconstruct(verdict.trace)).valid
 
     def test_frame_is_symplectic_and_diagonalizes(self):
+        # the frame returns the next iterate, mapped on from the framed
+        # one, which it never assembles; assemble it here from S = T^{-1}
         iterate = map_step(random_cm(2, 2, "mixed", seed=341))
-        framed, t = engine._williamson_frame(iterate, DEFAULT_TOL)
+        after, t = engine._williamson_frame(iterate, DEFAULT_TOL)
         j = symplectic_form(2)
-        nu = np.diag(framed.A)
-        np.testing.assert_allclose(framed.A, np.diag(nu), atol=1e-12)
+        s = np.linalg.inv(t)
+        framed_a, framed_c = s @ iterate.A @ s.T, s @ iterate.C @ s.T
+        nu = np.diag(framed_a)
+        np.testing.assert_allclose(framed_a, np.diag(nu), atol=1e-12)
         np.testing.assert_allclose(nu[0::2], nu[1::2], atol=1e-12)
-        assert framed.B is framed.A
         np.testing.assert_allclose(t @ j @ t.T, j, atol=1e-12)
-        np.testing.assert_allclose(t @ framed.A @ t.T, iterate.A, atol=1e-12)
-        np.testing.assert_allclose(t @ framed.C @ t.T, iterate.C, atol=1e-12)
+        np.testing.assert_allclose(t @ framed_a @ t.T, iterate.A, atol=1e-12)
+        np.testing.assert_allclose(t @ framed_c @ t.T, iterate.C, atol=1e-12)
+        framed = BipartiteCM.from_blocks(np.diag(nu), np.diag(nu), (framed_c - framed_c.T) / 2.0)
+        want = map_step(framed, validate=False)
+        assert after.B is after.A
+        np.testing.assert_allclose(after.A, want.A, atol=1e-12)
+        np.testing.assert_allclose(after.C, want.C, atol=1e-12)
+
+    def test_two_step_verdict_runs_two_eigh_and_certifies_with_none(self, monkeypatch,
+                                                                     lapack_calls):
+        # decide: the pseudoinverse of step 1's map and the frame; iterate 2
+        # comes from the frame in closed form.  reconstruct: every Schur
+        # complement has a Cholesky factor far from the kernel cutoff
+        cm = near_boundary(4, 1e-4, seed=4)
+        lapack_calls.clear()
+        verdict = decide(cm)
+        in_decide = lapack_calls.shapes("eigh")
+        lapack_calls.clear()
+        cert = reconstruct(verdict.trace)
+        in_reconstruct = lapack_calls.shapes("eigh")
+        monkeypatch.undo()
+        assert verdict.step == 2 and verdict.trace.steps[1].frame is not None
+        assert in_decide == [(8, 8), (8, 8)]
+        assert in_reconstruct == []
+        assert verify_certificate(cm, cert).valid
+
+    @settings(max_examples=200, deadline=None)
+    @given(framed_iterates())
+    def test_closed_form_step_equals_the_map_step(self, case):
+        nu, c = case
+        d = np.diag(np.repeat(nu, 2))
+        got = engine._williamson_step(nu, c, DEFAULT_TOL)
+        want = map_step(BipartiteCM.from_blocks(d, d, c), validate=False)
+        assert got.B is got.A
+        scale = max(1.0, float(np.abs(want.A).max()), float(np.abs(want.C).max()))
+        assert float(np.abs(got.A - want.A).max()) <= 1e-13 * scale
+        assert float(np.abs(got.C - want.C).max()) <= 1e-13 * scale
 
     def test_no_frame_without_a_cholesky_factor(self):
         indefinite = BipartiteCM.from_blocks(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]),
@@ -753,7 +808,7 @@ class TestFindThreshold:
         # the value sits 3.8e-11 below the 15-decide value of the
         # unframed iteration, 0.09786679022271991
         threshold = find_threshold(load_cm(WERNER_WOLF))
-        assert threshold == 0.09786679018514767
+        assert threshold == 0.09786679018514748
         assert len(probe_budget) == 33
         assert abs(threshold - 0.09786679018498035) <= 1e-12  # the bisection's value
         assert abs(threshold - 0.09786679022271991) <= 1e-10

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import gsep.matlin as matlin
 from gsep.matlin import (
     DEFAULT_TOL,
     MatrixInputError,
@@ -256,6 +257,69 @@ class TestSchurPsd:
     def test_rejects_complex(self):
         with pytest.raises(MatrixInputError, match="real"):
             schur_psd(np.eye(2) + 0j * J1, np.eye(2), 1j * np.zeros((2, 2)))
+
+
+def eigh_path(outer, coupling, inner, tol=DEFAULT_TOL):
+    """``_schur_complement`` with the Cholesky factorization made to fail."""
+    def no_factor(mat):
+        raise np.linalg.LinAlgError("forced")
+
+    cholesky = np.linalg.cholesky
+    np.linalg.cholesky = no_factor
+    try:
+        return matlin._schur_complement(outer, coupling, inner, tol)
+    finally:
+        np.linalg.cholesky = cholesky
+
+
+@st.composite
+def pd_schur_blocks(draw):
+    """``outer``, ``coupling`` and a positive definite ``inner``, ``cond(inner) <= 400``."""
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+    def matrix(rows, cols):
+        flat = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+        return np.array(flat).reshape(rows, cols)
+
+    g, outer = matrix(q, q), matrix(p, p)
+    inner = g @ g.T + draw(st.floats(0.01, 2.0)) * np.eye(q)
+    return outer + outer.T, 3.0 * matrix(p, q), inner
+
+
+class TestSchurComplement:
+    """The Cholesky path of ``_schur_complement`` and its fallback to ``_eigh_kernel``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pd_schur_blocks())
+    def test_cholesky_path_equals_the_eigh_path(self, blocks):
+        outer, coupling, inner = blocks
+        got = matlin._schur_complement(outer, coupling, inner, DEFAULT_TOL)
+        want = eigh_path(outer, coupling, inner)
+        scale = max(1.0, float(np.abs(want[0]).max()), float(np.abs(outer - want[0]).max()))
+        assert float(np.abs(got[0] - want[0]).max()) <= 1e-12 * scale
+        assert np.array_equal(got[0], got[0].T)
+        assert got[1] is want[1] is True and got[3] is want[3] is True
+        assert got[4] == want[4] == 0.0
+        assert 0.0 < got[2] <= want[2] * (1.0 + 1e-12)  # a lower bound on lambda_min(inner)
+
+    @pytest.mark.parametrize("inner, kernel", [
+        (np.diag([1.0, 0.0]), True),         # singular: no Cholesky factor
+        (np.diag([1.0, 0.5e-12]), True),     # a factor, but an eigenvalue under the cutoff
+        (np.diag([1.0, 1.5e-12]), False),    # above the cutoff, condition bound past 1/(2 rcond)
+    ], ids=["singular", "under-cutoff", "condition-bound"])
+    def test_falls_back_to_the_eigensolve(self, inner, kernel, monkeypatch, lapack_calls):
+        outer, coupling = np.eye(1), np.array([[1.0, 1e-3]])
+        got = matlin._schur_complement(outer, coupling, inner, DEFAULT_TOL)
+        monkeypatch.undo()
+        names = [name for name, _ in lapack_calls]
+        assert names[0] == "cholesky" and names.count("eigh") == 1
+        want = eigh_path(outer, coupling, inner)
+        assert got[1:] == want[1:]
+        np.testing.assert_array_equal(got[0], want[0])
+        # the eigensolve's verdict: the kernel vector e_2 carries residual 1e-3
+        assert got[2] == float(np.linalg.eigvalsh(inner)[0])
+        assert (got[3], got[4]) == ((False, 1e-3) if kernel else (True, 0.0))
 
 
 @st.composite
