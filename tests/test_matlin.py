@@ -317,7 +317,8 @@ class TestSchurComplement:
         want = eigh_path(outer, coupling, inner)
         assert got[1:] == want[1:]
         np.testing.assert_array_equal(got[0], want[0])
-        # the eigensolve's verdict: the kernel vector e_2 carries residual 1e-3
+        # the eigensolve decides: e_2, on which the coupling is 1e-3, is kernel
+        # only when its eigenvalue lies under the cutoff
         assert got[2] == float(np.linalg.eigvalsh(inner)[0])
         assert (got[3], got[4]) == ((False, 1e-3) if kernel else (True, 0.0))
 
