@@ -474,23 +474,25 @@ def _held(result) -> bool:
 
 
 def _crossing(lo: float, at_lo, hi: float, at_hi, weights: list[float],
-              width: float) -> float | None:
-    """Where the margin that made ``at_lo`` ENTANGLED crosses zero, or ``None``.
+              width: float, band: float) -> float | None:
+    """Where the margin that made ``at_lo`` ENTANGLED crosses ``-band``, or ``None``.
 
     The margin is that of the test that fired, ``margin_A`` for the block
     test and ``margin_full`` for the cone test, at the step where it
-    fired, read from both traces and scaled by the Illinois ``weights``.
-    Without an ENTANGLED verdict at ``lo``, a trace at ``hi`` that
-    reaches that step, or a sign change, nothing is proposed.  The
-    regula falsi point is clamped ``width / 2`` inside the bracket, and
-    nothing is proposed when that leaves no float strictly inside.
+    fired, read from both traces.  That test fires below ``-band``, the
+    decision band, so the line is aimed there: ``f = weight * (margin +
+    band)`` at both ends, with the Illinois ``weights``.  Without an
+    ENTANGLED verdict at ``lo``, a trace at ``hi`` that reaches that
+    step, or a sign change of ``f``, nothing is proposed.  The regula
+    falsi point is clamped ``width / 2`` inside the bracket, and nothing
+    is proposed when that leaves no float strictly inside.
     """
     if not (isinstance(at_lo, Verdict) and at_lo.kind is VerdictKind.ENTANGLED
             and len(at_hi.trace.steps) >= at_lo.step):
         return None
     step = at_hi.trace.steps[at_lo.step - 1]
     upper = step.margin_A if at_lo.reason == REASON_BLOCK_ENTANGLED else step.margin_full
-    f_lo, f_hi = weights[0] * at_lo.margin, weights[1] * upper
+    f_lo, f_hi = weights[0] * (at_lo.margin + band), weights[1] * (upper + band)
     if not f_lo < 0.0 < f_hi:
         return None
     eps = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
@@ -498,33 +500,36 @@ def _crossing(lo: float, at_lo, hi: float, at_hi, weights: list[float],
     return eps if lo < eps < hi else None
 
 
-def _bisect(holds, eps_max: float, width: float, lo: float = 0.0,
-            at_lo=None) -> tuple[float, float]:
+def _bisect(holds, eps_max: float, width: float, lo: float = 0.0, at_lo=None,
+            band: float = 0.0, hi: float | None = None) -> tuple[float, float]:
     """Bracket ``[lo, hi]`` of the smallest ``eps`` where ``holds(eps)``.
 
     ``holds`` returns a truth value, or a :class:`Verdict` that holds
     when SEPARABLE; it must be monotone along the ray and false at
-    ``lo``, whose outcome, if known, is ``at_lo``.  The upper end
-    doubles from ``min(max(1, 2 lo), eps_max)`` and never passes
-    ``eps_max``; ``holds`` false there raises :class:`BracketError`.
-    The bracket then narrows to ``width``, or to adjacent floats when
-    their spacing is wider.
+    ``lo``, whose outcome, if known, is ``at_lo``.  The upper end starts
+    at ``hi``, by default ``min(max(1, 2 lo), eps_max)``, doubles while
+    ``holds`` is false there and never passes ``eps_max``; ``holds``
+    false there raises :class:`BracketError`.  The bracket then narrows
+    to ``width``, or to adjacent floats when their spacing is wider.
 
     An ENTANGLED verdict at the bottom places the next probe where the
-    margin of the test that fired crosses zero (:func:`_crossing`,
+    margin of the test that fired crosses ``-band``, the edge of the
+    decision band below which that test fires (:func:`_crossing`,
     regula falsi with the Illinois halving).  Other probes take the
     midpoint, and so does every probe made while the bracket lags behind
     bisection at two probes per halving, which bounds the narrowing at
     ``2 log2(span / width) + 1`` probes for a starting bracket of ``span``.
     """
-    hi = min(max(1.0, 2.0 * lo), eps_max)
+    if hi is None:
+        hi = min(max(1.0, 2.0 * lo), eps_max)
     while hi <= lo or not _held(at_hi := holds(hi)):
         if hi >= eps_max:
             raise BracketError(f"no separable bracket found up to eps_max={eps_max:g}")
         lo, at_lo, hi = hi, at_hi, min(2.0 * hi, eps_max)
     weights, moved, pace = [1.0, 1.0], None, hi - lo
     while hi - lo > width:
-        proposal = _crossing(lo, at_lo, hi, at_hi, weights, width) if hi - lo <= pace else None
+        proposal = (_crossing(lo, at_lo, hi, at_hi, weights, width, band)
+                    if hi - lo <= pace else None)
         eps = 0.5 * (lo + hi) if proposal is None else proposal
         if not lo < eps < hi:
             break
@@ -539,6 +544,43 @@ def _bisect(holds, eps_max: float, width: float, lo: float = 0.0,
             weights[1 - end] *= 0.5
         moved, pace = end, pace * 0.5 ** 0.5
     return lo, hi
+
+
+def _transpose_bracket(flipped: np.ndarray, pert: np.ndarray, eps_max: float,
+                       width: float) -> tuple[float, float]:
+    """Bracket of ``eps_PPT``, from where ``F + eps P`` (``F = flipped``) has a Cholesky factor.
+
+    By Weyl's inequality ``lambda_min(F) + eps lambda_min(P) <=
+    lambda_min(F + eps P) <= lambda_min(F) + eps lambda_max(P)``, so one
+    ``eigvalsh`` of ``F`` and one of ``P`` put ``eps_PPT`` in
+    ``[-lambda_min(F) / lambda_max(P), -lambda_min(F) / lambda_min(P)]``,
+    the upper end only when ``lambda_min(P) > 0``; along ``P = I`` both
+    ends are ``eps_PPT``.  Each end moves outward by ``4 d machine eps
+    max(1, ||F||)`` to cover the rounding of the eigensolve and of a
+    factorization.  One factorization checks that the bottom, capped at
+    ``eps_max``, fails.  :func:`_bisect` goes on from it, its first top
+    the upper end, but at least ``width`` above the bottom and at most
+    its own default.  Along ``P = I`` that top passes, about ``width``
+    above ``eps_PPT``, and the bracket costs two factorizations.  A zero
+    ``P``, or a bottom that passes, leaves :func:`_bisect` to start from
+    ``0``.
+    """
+    def holds(eps: float) -> bool:
+        return _psd_by_cholesky(flipped + eps * pert, 0.0)
+
+    p_min, p_max = (float(x) for x in np.linalg.eigvalsh(pert)[[0, -1]])
+    if not p_max > 0.0:
+        return _bisect(holds, eps_max, width)
+    f_eigs = np.linalg.eigvalsh(flipped)
+    margin, scale = -float(f_eigs[0]), max(1.0, float(np.abs(f_eigs).max()))
+    rounding = 4.0 * len(f_eigs) * float(np.finfo(float).eps) * scale
+    lo = min(max(0.0, (margin - rounding) / p_max), eps_max)
+    if holds(lo):
+        return _bisect(holds, eps_max, width)
+    top = max(1.0, 2.0 * lo)
+    if p_min > 0.0:
+        top = min(top, (margin + rounding) / p_min)
+    return _bisect(holds, eps_max, width, lo, hi=min(max(top, lo + width), eps_max))
 
 
 def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
@@ -558,15 +600,23 @@ def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
        lies below the decision band, up to the rounding of a
        factorization), ``eps_PPT`` is bracketed by factorizations of that
        matrix, with no :func:`decide` call; otherwise the bound is ``0``.
+       The bracket is seeded from one ``eigvalsh`` of that matrix and
+       one of ``P`` (see :func:`_transpose_bracket`): its bottom is a
+       point shown to fail, and along the identity it costs two
+       factorizations and its top lies about ``width`` above
+       ``eps_PPT``.
     2. One :func:`decide` at the bound's top.  SEPARABLE returns the
        bound's midpoint: ``0.0`` for a bound of ``0``, and otherwise a
-       value never below ``eps_PPT`` by more than ``width`` plus the
-       rounding of a factorization, of order ``d * machine eps *
-       ||gamma||``.  UNDECIDED at ``0`` raises :class:`BracketError`.
+       value never below ``eps_PPT`` by more than the rounding of an
+       eigensolve or a factorization, of order ``d * machine eps *
+       ||gamma||``.  UNDECIDED at ``0`` raises :class:`BracketError`,
+       and so does any other verdict there along a zero ``P``, which
+       never moves the state.
     3. Otherwise one search on :func:`decide` verdicts starts from that
-       verdict (see :func:`_bisect`).  Its bracket is never SEPARABLE at
-       the bottom (UNDECIDED counts as not separable, so the value errs
-       on the large side) and SEPARABLE at the top.
+       verdict (see :func:`_bisect`), its probes aimed at the edge of
+       the decision band.  Its bracket is never SEPARABLE at the bottom
+       (UNDECIDED counts as not separable, so the value errs on the
+       large side) and SEPARABLE at the top.
 
     Both brackets double their top up to ``eps_max``, and no probe goes
     past it; no bracket up to it raises :class:`BracketError`, with no
@@ -588,11 +638,13 @@ def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
     flipped = _flipped(cm)
     lo = hi = 0.0
     if not _psd_by_cholesky(flipped, tol.decision_margin):
-        lo, hi = _bisect(lambda eps: _psd_by_cholesky(flipped + eps * pert, 0.0),
-                         eps_max, width)
+        lo, hi = _transpose_bracket(flipped, pert, eps_max, width)
     top = decide_at(hi)
     if top.kind is VerdictKind.UNDECIDED and hi == 0.0:
         raise BracketError("verdict on the unperturbed state is undecided; no bracket exists")
     if top.kind is not VerdictKind.SEPARABLE:
-        lo, hi = _bisect(decide_at, eps_max, width, hi, top)
+        if not pert.any():
+            raise BracketError(f"no separable bracket found up to eps_max={eps_max:g}: "
+                               "a zero perturbation never moves the state")
+        lo, hi = _bisect(decide_at, eps_max, width, hi, top, tol.decision_margin)
     return 0.5 * (lo + hi)

@@ -1,6 +1,7 @@
 """Tests for the decision iteration."""
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,8 +60,7 @@ OFF_BAND = st.one_of(
 def transpose_top(cm):
     """Top of ``cm``'s transpose bracket along the identity, as find_threshold takes it."""
     flipped = _flipped(cm)
-    return engine._bisect(lambda eps: _psd_by_cholesky(flipped + eps * np.eye(len(flipped)), 0.0),
-                          1e6, 1e-12)[1]
+    return engine._transpose_bracket(flipped, np.eye(len(flipped)), 1e6, 1e-12)[1]
 
 
 def record_probes(monkeypatch):
@@ -741,28 +741,40 @@ class TestFindThreshold:
         assert len(probe_budget) == 0
 
     def test_no_probe_goes_past_eps_max(self, monkeypatch):
-        # ``bracketed``: every eps a search tests, by Cholesky or by decide;
-        # ``decided``: every eps a decide probe runs at
-        bracketed, decided = [], []
-        bisect, shifted = engine._bisect, engine._shifted
+        # ``bracketed``: every eps a search loop tests, by Cholesky or by
+        # decide; ``decided``: every eps a decide probe runs at;
+        # ``factored``: every matrix the transpose test factorizes
+        bracketed, decided, factored = [], [], []
+        bisect, shifted, cholesky = engine._bisect, engine._shifted, engine._psd_by_cholesky
 
-        def spy_bisect(holds, *args):
-            return bisect(lambda eps: bracketed.append(eps) or holds(eps), *args)
+        def spy_bisect(holds, *args, **kwargs):
+            return bisect(lambda eps: bracketed.append(eps) or holds(eps), *args, **kwargs)
 
         def spy_shifted(cm, eps, pert=None):
             decided.append(eps)
             return shifted(cm, eps, pert)
 
+        def spy_cholesky(herm, tau):
+            if tau == 0.0:
+                factored.append(herm)
+            return cholesky(herm, tau)
+
         monkeypatch.setattr(engine, "_bisect", spy_bisect)
         monkeypatch.setattr(engine, "_shifted", spy_shifted)
-        # tmss(1.0) fails the transpose test up to 0.5: no decide probe runs
+        monkeypatch.setattr(engine, "_psd_by_cholesky", spy_cholesky)
+        # tmss(1.0)'s seeded bottom, 1 - exp(-2), lies above 0.5: one
+        # factorization at the cap shows that it fails, and no decide runs
+        cm = tmss(1.0)
         with pytest.raises(BracketError, match="eps_max=0.5"):
-            find_threshold(tmss(1.0), eps_max=0.5)
-        assert bracketed == [0.5] and decided == []
-        bracketed.clear()
-        threshold = find_threshold(tmss(1.0), eps_max=0.9)
-        assert max(bracketed + decided) == 0.9
-        assert abs(threshold - EPS_STAR_R1) <= DEFAULT_TOL.decision_margin
+            find_threshold(cm, eps_max=0.5)
+        assert len(factored) == 1 and np.array_equal(factored[0], _flipped(cm) + 0.5 * np.eye(4))
+        assert bracketed == [] and decided == []
+        # noise on party A alone has no seeded top: the bracket doubles
+        # from 2 (1 - exp(-2)), fails there, and must reach the cap
+        on_a = np.diag([1.0, 1.0, 0.0, 0.0])
+        threshold = find_threshold(cm, on_a, eps_max=3.0)
+        assert max(bracketed + decided) == 3.0
+        assert abs(threshold - find_threshold(cm, on_a)) <= 1e-12
         # the Werner-Wolf fixture passes the transpose test, so its search
         # probes decide from the verdict at 0
         decided.clear()
@@ -772,6 +784,82 @@ class TestFindThreshold:
         decided.clear()
         find_threshold(load_cm(WERNER_WOLF))  # the default brackets at eps = 1
         assert decided[:3] == [0.0, 1.0, 0.5]
+
+    @pytest.mark.parametrize("reason,field", [(REASON_BLOCK_ENTANGLED, "margin_A"),
+                                              (REASON_CONE_ENTANGLED, "margin_full")])
+    def test_crossing_aims_at_the_edge_of_the_band(self, reason, field):
+        # the bottom fired at step 2 with margin -3e-10; the line through
+        # it and the top's margin at step 2 is aimed at -decision_margin
+        band = DEFAULT_TOL.decision_margin
+
+        def verdicts(upper):
+            steps = [SimpleNamespace(**{field: 1.0}), SimpleNamespace(**{field: upper})]
+            at_hi = engine.Verdict(VerdictKind.SEPARABLE, 2, 0.0, REASON_NORM_GAP_SEPARABLE,
+                                   SimpleNamespace(steps=steps))
+            return engine.Verdict(VerdictKind.ENTANGLED, 2, -3e-10, reason, None), at_hi
+
+        at_lo, at_hi = verdicts(1e-10)  # f = -2e-10 and +2e-10
+        assert engine._crossing(0.0, at_lo, 1.0, at_hi, [1.0, 1.0], 1e-12, band) == \
+            pytest.approx(0.5, rel=1e-12)
+        # a top inside the band still brackets the band's edge
+        at_lo, at_hi = verdicts(-0.5e-10)
+        assert engine._crossing(0.0, at_lo, 1.0, at_hi, [1.0, 1.0], 1e-12, band) == \
+            pytest.approx(0.8, rel=1e-12)
+        # below the band's edge at both ends: no sign change, no proposal
+        at_lo, at_hi = verdicts(-2e-10)
+        assert engine._crossing(0.0, at_lo, 1.0, at_hi, [1.0, 1.0], 1e-12, band) is None
+
+    def test_zero_perturbation_stops_after_the_base_verdict(self, probe_budget):
+        # along P = 0 every eps decides the same state: an entangled
+        # verdict at 0 is the last decide
+        with pytest.raises(BracketError, match="zero perturbation"):
+            find_threshold(load_cm(WERNER_WOLF), np.zeros((8, 8)))
+        assert len(probe_budget) == 1
+
+    def test_identity_transpose_bracket_takes_two_or_three_factorizations(self, monkeypatch):
+        # along P = I one eigvalsh puts eps_PPT at -lambda_min(F): the
+        # stage checks a bottom just below it and a top width above it
+        factored = []
+        cholesky = engine._psd_by_cholesky
+
+        def spy_cholesky(herm, tau):
+            if tau == 0.0:
+                factored.append(None)
+            return cholesky(herm, tau)
+
+        monkeypatch.setattr(engine, "_psd_by_cholesky", spy_cholesky)
+        states = [tmss(r) for r in (0.05, 0.5, 1.0, 2.0)]
+        states += [gaussian.random_cm(n, m, purity, seed=seed)
+                   for n, m in ((1, 1), (1, 2), (2, 1), (2, 2))
+                   for purity in ("mixed", "pure") for seed in range(6)]
+        width, checked = 1e-12, 0
+        for cm in states:
+            flipped = _flipped(cm)
+            eigs = np.linalg.eigvalsh(flipped)
+            if eigs[0] >= -DEFAULT_TOL.decision_margin:
+                continue
+            rounding = 4 * len(eigs) * np.finfo(float).eps * max(1.0, np.abs(eigs).max())
+            factored.clear()
+            threshold = find_threshold(cm, width=width)
+            checked += 1
+            assert len(factored) <= 3
+            assert -eigs[0] - rounding <= threshold <= -eigs[0] + width
+        assert checked >= 30
+
+    def test_rank_three_direction_brackets_by_doubling(self, probe_budget):
+        # lambda_min(P) = 0 gives no seeded top, so the bracket doubles
+        # from the checked bottom as the unseeded search did; on the first
+        # rng-2024 draw the decide threshold sits on the transpose one
+        cm = random_cm(2, 2, "mixed", rng=np.random.default_rng(2024))
+        rng, width = np.random.default_rng(7), 1e-12
+        for _ in range(3):
+            r = rng.standard_normal((8, 3))
+            pert = r @ r.T
+            bisected = 0.5 * sum(engine._bisect(lambda eps: decide(
+                engine._shifted(cm, eps, pert)).kind is VerdictKind.SEPARABLE, 1e6, width))
+            probe_budget.clear()
+            assert abs(find_threshold(cm, pert, width=width) - bisected) <= 2 * width
+            assert len(probe_budget) == 1
 
     def test_transpose_bracket_needs_one_decide(self, probe_budget):
         # one SEPARABLE confirmation at the bracket's top
@@ -801,15 +889,16 @@ class TestFindThreshold:
 
     def test_ppt_input_threshold_takes_the_margin_guided_search(self, probe_budget):
         # the transpose test cannot bracket a PPT state, so the search runs
-        # on verdicts; separable probes now fire at step 1 and entangled
-        # ones at step 2, so the cone margin rarely places a probe, and the
-        # search takes 33 decides where bisection takes 42.  With fewer
-        # steps the band covers a wider eps range below the threshold:
-        # the value sits 3.8e-11 below the 15-decide value of the
-        # unframed iteration, 0.09786679022271991
+        # on verdicts; probes aim where the firing margin crosses the edge
+        # of the decision band, not zero, so a top whose margin sits in
+        # the band still places one, and the search takes 15 decides
+        # where bisection takes 42.  With fewer steps the band covers a
+        # wider eps range below the threshold: the value sits 3.7e-11
+        # below the 15-decide value of the unframed iteration,
+        # 0.09786679022271991
         threshold = find_threshold(load_cm(WERNER_WOLF))
-        assert threshold == 0.09786679018514748
-        assert len(probe_budget) == 33
+        assert threshold == 0.0978667901852723
+        assert len(probe_budget) == 15
         assert abs(threshold - 0.09786679018498035) <= 1e-12  # the bisection's value
         assert abs(threshold - 0.09786679022271991) <= 1e-10
 
@@ -821,8 +910,8 @@ class TestFindThreshold:
         cm = [random_cm(2, 2, "mixed", rng=rng) for _ in range(6)][-1]
         assert not ppt_check(cm).ppt
         threshold = find_threshold(cm)
-        assert threshold == 0.3513992390365046
-        assert len(probe_budget) == 19
+        assert threshold == 0.3513992390368684
+        assert len(probe_budget) == 14
         assert threshold >= transpose_top(cm)
 
     def test_transpose_margin_below_the_band_bounds_the_threshold(self):
