@@ -501,27 +501,27 @@ def _crossing(lo: float, at_lo, hi: float, at_hi, weights: list[float],
 
 
 def _bisect(holds, eps_max: float, width: float, lo: float = 0.0, at_lo=None,
-            band: float = 0.0, hi: float | None = None) -> tuple[float, float]:
+            band: float = 0.0) -> tuple[float, float]:
     """Bracket ``[lo, hi]`` of the smallest ``eps`` where ``holds(eps)``.
 
     ``holds`` returns a truth value, or a :class:`Verdict` that holds
     when SEPARABLE; it must be monotone along the ray and false at
-    ``lo``, whose outcome, if known, is ``at_lo``.  The upper end starts
-    at ``hi``, by default ``min(max(1, 2 lo), eps_max)``, doubles while
-    ``holds`` is false there and never passes ``eps_max``; ``holds``
-    false there raises :class:`BracketError`.  The bracket then narrows
-    to ``width``, or to adjacent floats when their spacing is wider.
+    ``lo``, whose outcome, if known, is ``at_lo``.  The upper end
+    doubles from ``min(max(1, 2 lo), eps_max)`` and never passes
+    ``eps_max``; ``holds`` false there raises :class:`BracketError`.
+    The bracket then narrows to ``width``, or to adjacent floats when
+    their spacing is wider.
 
     An ENTANGLED verdict at the bottom places the next probe where the
     margin of the test that fired crosses ``-band``, the edge of the
     decision band below which that test fires (:func:`_crossing`,
-    regula falsi with the Illinois halving).  Other probes take the
-    midpoint, and so does every probe made while the bracket lags behind
-    bisection at two probes per halving, which bounds the narrowing at
-    ``2 log2(span / width) + 1`` probes for a starting bracket of ``span``.
+    regula falsi with the Illinois halving); truth values never place
+    one.  Other probes take the midpoint, and so does every probe made
+    while the bracket lags behind bisection at two probes per halving,
+    which bounds the narrowing at ``2 log2(span / width) + 1`` probes
+    for a starting bracket of ``span``.
     """
-    if hi is None:
-        hi = min(max(1.0, 2.0 * lo), eps_max)
+    hi = min(max(1.0, 2.0 * lo), eps_max)
     while hi <= lo or not _held(at_hi := holds(hi)):
         if hi >= eps_max:
             raise BracketError(f"no separable bracket found up to eps_max={eps_max:g}")
@@ -550,37 +550,35 @@ def _transpose_bracket(flipped: np.ndarray, pert: np.ndarray, eps_max: float,
                        width: float) -> tuple[float, float]:
     """Bracket of ``eps_PPT``, from where ``F + eps P`` (``F = flipped``) has a Cholesky factor.
 
-    By Weyl's inequality ``lambda_min(F) + eps lambda_min(P) <=
+    The bracket is :func:`_bisect`'s from ``0`` on factorizations, with
+    the probes outside a seeded interval answered without one.  By
+    Weyl's inequality ``lambda_min(F) + eps lambda_min(P) <=
     lambda_min(F + eps P) <= lambda_min(F) + eps lambda_max(P)``, so one
     ``eigvalsh`` of ``F`` and one of ``P`` put ``eps_PPT`` in
     ``[-lambda_min(F) / lambda_max(P), -lambda_min(F) / lambda_min(P)]``,
     the upper end only when ``lambda_min(P) > 0``; along ``P = I`` both
     ends are ``eps_PPT``.  Each end moves outward by ``4 d machine eps
     max(1, ||F||)`` to cover the rounding of the eigensolve and of a
-    factorization.  One factorization checks that the bottom, capped at
-    ``eps_max``, fails.  :func:`_bisect` goes on from it, its first top
-    the upper end, but at least ``width`` above the bottom and at most
-    its own default.  Along ``P = I`` that top passes, about ``width``
-    above ``eps_PPT``, and the bracket costs two factorizations.  A zero
-    ``P``, or a bottom that passes, leaves :func:`_bisect` to start from
-    ``0``.
+    factorization, and one factorization checks each: every probe at or
+    below a bottom that fails fails, and every probe at or above a top
+    that passes passes.  An end whose check disagrees answers nothing.
+    Along ``P = I`` the bracket costs the two checks and the few probes
+    that land between them.
     """
     def holds(eps: float) -> bool:
         return _psd_by_cholesky(flipped + eps * pert, 0.0)
 
+    fails, passes = -np.inf, np.inf
     p_min, p_max = (float(x) for x in np.linalg.eigvalsh(pert)[[0, -1]])
-    if not p_max > 0.0:
-        return _bisect(holds, eps_max, width)
-    f_eigs = np.linalg.eigvalsh(flipped)
-    margin, scale = -float(f_eigs[0]), max(1.0, float(np.abs(f_eigs).max()))
-    rounding = 4.0 * len(f_eigs) * float(np.finfo(float).eps) * scale
-    lo = min(max(0.0, (margin - rounding) / p_max), eps_max)
-    if holds(lo):
-        return _bisect(holds, eps_max, width)
-    top = max(1.0, 2.0 * lo)
-    if p_min > 0.0:
-        top = min(top, (margin + rounding) / p_min)
-    return _bisect(holds, eps_max, width, lo, hi=min(max(top, lo + width), eps_max))
+    if p_max > 0.0:
+        f_eigs = np.linalg.eigvalsh(flipped)
+        margin, scale = -float(f_eigs[0]), max(1.0, float(np.abs(f_eigs).max()))
+        rounding = 4.0 * len(f_eigs) * float(np.finfo(float).eps) * scale
+        if not holds(bottom := min(max(0.0, (margin - rounding) / p_max), eps_max)):
+            fails = bottom
+        if p_min > 0.0 and (top := (margin + rounding) / p_min) < eps_max and holds(top):
+            passes = top
+    return _bisect(lambda eps: eps >= passes or (eps > fails and holds(eps)), eps_max, width)
 
 
 def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
@@ -600,15 +598,14 @@ def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
        lies below the decision band, up to the rounding of a
        factorization), ``eps_PPT`` is bracketed by factorizations of that
        matrix, with no :func:`decide` call; otherwise the bound is ``0``.
-       The bracket is seeded from one ``eigvalsh`` of that matrix and
-       one of ``P`` (see :func:`_transpose_bracket`): its bottom is a
-       point shown to fail, and along the identity it costs two
-       factorizations and its top lies about ``width`` above
-       ``eps_PPT``.
+       One ``eigvalsh`` of that matrix and one of ``P`` answer the
+       probes far from ``eps_PPT`` without a factorization (see
+       :func:`_transpose_bracket`); along the identity the bracket costs
+       two or three factorizations.
     2. One :func:`decide` at the bound's top.  SEPARABLE returns the
        bound's midpoint: ``0.0`` for a bound of ``0``, and otherwise a
-       value never below ``eps_PPT`` by more than the rounding of an
-       eigensolve or a factorization, of order ``d * machine eps *
+       value never below ``eps_PPT`` by more than ``width`` plus the
+       rounding of a factorization, of order ``d * machine eps *
        ||gamma||``.  UNDECIDED at ``0`` raises :class:`BracketError`,
        and so does any other verdict there along a zero ``P``, which
        never moves the state.

@@ -80,4 +80,4 @@ def test_readme_command_lines_run_and_print_what_they_show(tmp_path, monkeypatch
             assert same_output(value, json.dumps(out[key])), (line, key, out[key])
             shown[key] = value
     assert shown == {"margin": "-0.9999999999999987", "verdict": '"entangled"',
-                     "threshold": "0.8646647167638577"}
+                     "threshold": "0.8646647167629453"}

@@ -60,7 +60,8 @@ OFF_BAND = st.one_of(
 def transpose_top(cm):
     """Top of ``cm``'s transpose bracket along the identity, as find_threshold takes it."""
     flipped = _flipped(cm)
-    return engine._transpose_bracket(flipped, np.eye(len(flipped)), 1e6, 1e-12)[1]
+    return engine._bisect(lambda eps: _psd_by_cholesky(flipped + eps * np.eye(len(flipped)), 0.0),
+                          1e6, 1e-12)[1]
 
 
 def record_probes(monkeypatch):
@@ -741,14 +742,14 @@ class TestFindThreshold:
         assert len(probe_budget) == 0
 
     def test_no_probe_goes_past_eps_max(self, monkeypatch):
-        # ``bracketed``: every eps a search loop tests, by Cholesky or by
-        # decide; ``decided``: every eps a decide probe runs at;
-        # ``factored``: every matrix the transpose test factorizes
+        # ``bracketed``: every eps a search tests, by Cholesky or by decide;
+        # ``decided``: every eps a decide probe runs at; ``factored``: every
+        # matrix the transpose test factorizes
         bracketed, decided, factored = [], [], []
         bisect, shifted, cholesky = engine._bisect, engine._shifted, engine._psd_by_cholesky
 
-        def spy_bisect(holds, *args, **kwargs):
-            return bisect(lambda eps: bracketed.append(eps) or holds(eps), *args, **kwargs)
+        def spy_bisect(holds, *args):
+            return bisect(lambda eps: bracketed.append(eps) or holds(eps), *args)
 
         def spy_shifted(cm, eps, pert=None):
             decided.append(eps)
@@ -762,19 +763,24 @@ class TestFindThreshold:
         monkeypatch.setattr(engine, "_bisect", spy_bisect)
         monkeypatch.setattr(engine, "_shifted", spy_shifted)
         monkeypatch.setattr(engine, "_psd_by_cholesky", spy_cholesky)
-        # tmss(1.0)'s seeded bottom, 1 - exp(-2), lies above 0.5: one
-        # factorization at the cap shows that it fails, and no decide runs
+        # tmss(1.0) fails the transpose test up to 0.5: no decide probe
+        # runs, and the seeded bottom, capped at 0.5, is the one matrix
+        # factorized
         cm = tmss(1.0)
         with pytest.raises(BracketError, match="eps_max=0.5"):
             find_threshold(cm, eps_max=0.5)
+        assert bracketed == [0.5] and decided == []
         assert len(factored) == 1 and np.array_equal(factored[0], _flipped(cm) + 0.5 * np.eye(4))
-        assert bracketed == [] and decided == []
-        # noise on party A alone has no seeded top: the bracket doubles
-        # from 2 (1 - exp(-2)), fails there, and must reach the cap
-        on_a = np.diag([1.0, 1.0, 0.0, 0.0])
-        threshold = find_threshold(cm, on_a, eps_max=3.0)
+        bracketed.clear()
+        threshold = find_threshold(cm, eps_max=0.9)
+        assert max(bracketed + decided) == 0.9
+        assert abs(threshold - EPS_STAR_R1) <= DEFAULT_TOL.decision_margin
+        # noise on party A alone has no seeded top; its threshold is 2 for
+        # every r, where (cosh 2r + eps - 1)(cosh 2r - 1) = sinh^2 2r
+        bracketed.clear()
+        threshold = find_threshold(cm, np.diag([1.0, 1.0, 0.0, 0.0]), eps_max=3.0)
         assert max(bracketed + decided) == 3.0
-        assert abs(threshold - find_threshold(cm, on_a)) <= 1e-12
+        assert abs(threshold - 2.0) <= DEFAULT_TOL.decision_margin
         # the Werner-Wolf fixture passes the transpose test, so its search
         # probes decide from the verdict at 0
         decided.clear()
@@ -818,7 +824,9 @@ class TestFindThreshold:
 
     def test_identity_transpose_bracket_takes_two_or_three_factorizations(self, monkeypatch):
         # along P = I one eigvalsh puts eps_PPT at -lambda_min(F): the
-        # stage checks a bottom just below it and a top width above it
+        # stage checks a bottom just below it and a top just above it, and
+        # only the probes between them are factorized; the bracket is the
+        # one an unseeded bisection from 0 finds
         factored = []
         cholesky = engine._psd_by_cholesky
 
@@ -843,23 +851,28 @@ class TestFindThreshold:
             threshold = find_threshold(cm, width=width)
             checked += 1
             assert len(factored) <= 3
-            assert -eigs[0] - rounding <= threshold <= -eigs[0] + width
+            unseeded = engine._bisect(lambda eps: cholesky(flipped + eps * np.eye(len(eigs)), 0.0),
+                                      1e6, width)
+            assert threshold == 0.5 * sum(unseeded)
+            assert abs(threshold + eigs[0]) <= 0.5 * width + rounding
         assert checked >= 30
 
-    def test_rank_three_direction_brackets_by_doubling(self, probe_budget):
+    def test_rank_three_direction_brackets_by_doubling(self):
         # lambda_min(P) = 0 gives no seeded top, so the bracket doubles
-        # from the checked bottom as the unseeded search did; on the first
-        # rng-2024 draw the decide threshold sits on the transpose one
+        # from 1 as the unseeded search does, and only its probes above
+        # the checked bottom are factorized
         cm = random_cm(2, 2, "mixed", rng=np.random.default_rng(2024))
+        flipped = _flipped(cm)
         rng, width = np.random.default_rng(7), 1e-12
         for _ in range(3):
             r = rng.standard_normal((8, 3))
             pert = r @ r.T
+            unseeded = engine._bisect(lambda eps: _psd_by_cholesky(flipped + eps * pert, 0.0),
+                                      1e6, width)
+            assert engine._transpose_bracket(flipped, pert, 1e6, width) == unseeded
             bisected = 0.5 * sum(engine._bisect(lambda eps: decide(
                 engine._shifted(cm, eps, pert)).kind is VerdictKind.SEPARABLE, 1e6, width))
-            probe_budget.clear()
             assert abs(find_threshold(cm, pert, width=width) - bisected) <= 2 * width
-            assert len(probe_budget) == 1
 
     def test_transpose_bracket_needs_one_decide(self, probe_budget):
         # one SEPARABLE confirmation at the bracket's top
@@ -910,8 +923,8 @@ class TestFindThreshold:
         cm = [random_cm(2, 2, "mixed", rng=rng) for _ in range(6)][-1]
         assert not ppt_check(cm).ppt
         threshold = find_threshold(cm)
-        assert threshold == 0.3513992390368684
-        assert len(probe_budget) == 14
+        assert threshold == 0.3513992390365046
+        assert len(probe_budget) == 19
         assert threshold >= transpose_top(cm)
 
     def test_transpose_margin_below_the_band_bounds_the_threshold(self):
