@@ -32,12 +32,7 @@ from .engine import (
     find_threshold,
     sweep,
 )
-from .gaussian import (
-    BipartiteCM,
-    random_cm,
-    random_separable_cm,
-    tmss,
-)
+from .gaussian import random_cm, random_separable_cm, tmss
 from .io import _canonical, dump_certificate, dump_cm, load_cm
 from .matlin import DEFAULT_TOL, ToleranceConfig
 
@@ -80,25 +75,23 @@ def _parse_eps_grid(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, points)
 
 
-def _cmd_check(args) -> int:
+def _verdict_fields(verdict) -> dict:
+    return {"verdict": verdict.kind.value, "step": verdict.step,
+            "margin": verdict.margin, "reason": verdict.reason}
+
+
+def _cmd_check(args) -> str:
     cm = load_cm(args.input)
     tol = _tolerances(args)
     if args.eps is not None:
         verdict = decide_robust(cm, args.eps, tol, args.max_iter)
     else:
         verdict = decide(cm, tol, args.max_iter)
-    doc = {
-        "verdict": verdict.kind.value,
-        "step": verdict.step,
-        "margin": verdict.margin,
-        "reason": verdict.reason,
-        "c_opnorm_history": list(verdict.trace.c_opnorm_history),
-    }
-    _write(_canonical(doc), args.output)
-    return 0
+    return _canonical({**_verdict_fields(verdict),
+                       "c_opnorm_history": list(verdict.trace.c_opnorm_history)})
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> str:
     """Verdict plus evidence: a verified certificate, or :func:`~gsep.certify.witness`.
 
     A certificate that :func:`~gsep.certify.verify_certificate` rejects is
@@ -115,21 +108,16 @@ def _cmd_certify(args) -> int:
                 "certificate fails verification (margins of gamma_A - iJ, gamma_B - iJ "
                 "and gamma - gamma_A oplus gamma_B: "
                 + ", ".join(f"{margin:.3e}" for margin in report.margins) + ")")
-        _write(dump_certificate(certificate, report.margins), args.output)
-        return 0
+        return dump_certificate(certificate, report.margins)
     if verdict.kind is VerdictKind.ENTANGLED:
         lambda_min, vector = witness(verdict.trace)
-        doc = {"verdict": "entangled", "step": verdict.step, "lambda_min": lambda_min,
-               "witness_real": vector.real.tolist(), "witness_imag": vector.imag.tolist()}
-        _write(_canonical(doc), args.output)
-        return 0
-    doc = {"verdict": "undecided", "step": verdict.step, "margin": verdict.margin,
-           "reason": verdict.reason}
-    _write(_canonical(doc), args.output)
-    return 0
+        return _canonical({"verdict": "entangled", "step": verdict.step,
+                           "lambda_min": lambda_min, "witness_real": vector.real.tolist(),
+                           "witness_imag": vector.imag.tolist()})
+    return _canonical(_verdict_fields(verdict))
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     cm = load_cm(args.input)
     tol = _tolerances(args)
     if args.eps_grid is not None:
@@ -143,28 +131,25 @@ def _cmd_sweep(args) -> int:
                    stop_after_separable=args.stop_after_separable)
     lines = ["eps,verdict,steps"]
     lines += [f"{p.eps!r},{p.kind.value},{p.steps}" for p in points]
-    _write("\n".join(lines) + "\n", args.output)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_threshold(args) -> int:
+def _cmd_threshold(args) -> str:
     cm = load_cm(args.input)
     tol = _tolerances(args)
     pert = load_cm(args.perturbation).gamma if args.perturbation else None
     eps = find_threshold(cm, pert, tol, args.max_iter, eps_max=args.eps_max)
-    _write(_canonical({"threshold": eps}), args.output)
-    return 0
+    return _canonical({"threshold": eps})
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> str:
     if args.kind == "tmss":
         cm = tmss(args.r)
     elif args.kind == "random":
         cm = random_cm(args.n, args.m, purity=args.purity, seed=args.seed)
     else:  # separable
         cm, _, _ = random_separable_cm(args.n, args.m, seed=args.seed)
-    _write(dump_cm(cm), args.output)
-    return 0
+    return dump_cm(cm)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -191,6 +176,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-iter", type=int, default=200,
                         help="iteration limit (default 200)")
 
+    # the perturbation ray, for the commands that move the state along it
+    ray = argparse.ArgumentParser(add_help=False, parents=[common])
+    ray.add_argument("--perturbation",
+                     help="CM JSON file with the PSD perturbation (default identity)")
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common],
@@ -203,28 +193,26 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="decide and emit a certificate or witness")
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[ray],
                        help="decide along gamma + eps*P for a grid of eps")
-    p.add_argument("--eps", type=float, action="append",
-                   help="explicit eps value (repeatable)")
-    p.add_argument("--eps-grid", help="LO:HI:POINTS or LO:HI:POINTS:log")
-    p.add_argument("--perturbation",
-                   help="CM JSON file with the PSD perturbation (default identity)")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--eps", type=float, action="append",
+                      help="explicit eps value (repeatable)")
+    grid.add_argument("--eps-grid", help="LO:HI:POINTS or LO:HI:POINTS:log")
     p.add_argument("--stop-after-separable", action="store_true",
                    help="stop at the first separable verdict")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser(
-        "threshold", parents=[common],
+        "threshold", parents=[ray],
         help="smallest eps making gamma + eps*P separable",
         description="Smallest eps making gamma + eps*P separable.  A state whose "
                     "transpose-test margin lies below the decision band has its "
                     "transpose threshold bracketed by Cholesky factorizations; one "
                     "verdict at the bracket's top, or at 0 for other states, settles "
                     "a separable one, and otherwise the search runs on verdicts, each "
-                    "probe placed where the margin of the test that fired crosses zero.")
-    p.add_argument("--perturbation",
-                   help="CM JSON file with the PSD perturbation (default identity)")
+                    "probe aimed where the margin of the test that fired crosses "
+                    "-decision_margin, the lower edge of the band.")
     p.add_argument("--eps-max", type=float, default=1e6,
                    help="give up bracketing above this eps (default 1e6)")
     p.set_defaults(func=_cmd_threshold)
@@ -244,7 +232,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _write(args.func(args), args.output)
     except (ValueError, OSError) as exc:
         # malformed files, bad schemas, invalid input states, bad flags
         print(f"error: {exc}", file=sys.stderr)
@@ -252,6 +240,7 @@ def main(argv=None) -> int:
     except (EngineError, CertificateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -55,9 +55,9 @@ class ToleranceConfig:
             ``scale = max(1, |lambda|_max)``.
         pinv_rcond: Relative cutoff below which eigenvalues are treated
             as exact zeros when pseudoinverting.
-        decision_margin: Absolute band of the decision iteration.  Each
-            of its three termination tests passes when its margin is
-            ``>= -decision_margin`` and fails below that.
+        decision_margin: Absolute band of ``decide``'s four tests: the norm test passes
+            at ``>= -decision_margin``, the ``|C|`` test only above ``+decision_margin``,
+            and the A-block and cone tests fire (entangled) below ``-decision_margin``.
     """
 
     psd_tol: float = 1e-9

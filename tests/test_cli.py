@@ -18,7 +18,7 @@ from _expm_fixtures import random_cm, random_separable_cm
 from gsep.cli import _build_parser, _tolerances, main
 from gsep.engine import _shifted
 from gsep.gaussian import BipartiteCM, tmss
-from gsep.io import dump_cm, parse_certificate, parse_cm
+from gsep.io import _canonical, dump_certificate, dump_cm, parse_certificate, parse_cm
 from gsep.matlin import DEFAULT_TOL
 
 EPS_STAR_R1 = 1.0 - np.exp(-2.0)
@@ -252,6 +252,15 @@ class TestSweep:
         assert code == 2
         assert "sweep needs" in err
 
+    def test_eps_and_eps_grid_are_exclusive(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--eps", "0.1", "--eps-grid", "0.5:1:3",
+                  "--input", write_cm(tmp_path, tmss(1.0))])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--eps-grid: not allowed with argument --eps" in captured.err
+
 
 @pytest.mark.usefixtures("probe_budget")
 class TestThreshold:
@@ -343,6 +352,81 @@ class TestCanonicalOutput:
         code, out, _ = run(capsys, *argv, "--input", write_cm(tmp_path, cm))
         assert code == 0
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def _check_doc(verdict):
+    return _canonical({"verdict": verdict.kind.value, "step": verdict.step,
+                       "margin": verdict.margin, "reason": verdict.reason,
+                       "c_opnorm_history": list(verdict.trace.c_opnorm_history)})
+
+
+def _certify_doc(cm, max_iter=200):
+    verdict = gsep.decide(cm, max_iter=max_iter)
+    if verdict.kind is gsep.VerdictKind.SEPARABLE:
+        cert = gsep.reconstruct(verdict.trace)
+        return dump_certificate(cert, gsep.verify_certificate(cm, cert).margins)
+    if verdict.kind is gsep.VerdictKind.ENTANGLED:
+        lambda_min, vector = gsep.witness(verdict.trace)
+        return _canonical({"verdict": "entangled", "step": verdict.step,
+                           "lambda_min": lambda_min, "witness_real": vector.real.tolist(),
+                           "witness_imag": vector.imag.tolist()})
+    return _canonical({"verdict": "undecided", "step": verdict.step,
+                       "margin": verdict.margin, "reason": verdict.reason})
+
+
+def _sweep_csv(cm, grid, **kwargs):
+    points = gsep.sweep(cm, np.eye(2 * (cm.n + cm.m)), grid, **kwargs)
+    return "eps,verdict,steps\n" + "".join(f"{p.eps!r},{p.kind.value},{p.steps}\n"
+                                            for p in points)
+
+
+class TestOutputMatchesLibrary:
+    # each subcommand prints exactly what the library computes on its input
+    STATES = {"separable": lambda: random_separable_cm(2, 1, seed=3)[0],
+              "entangled": lambda: tmss(1.0),
+              "multi-step": lambda: random_cm(2, 2, "mixed", seed=341),
+              "ppt-entangled": lambda: gsep.load_cm(str(FIXTURE))}
+
+    @pytest.mark.parametrize("argv, state, expected", [
+        (("check",), "separable", lambda cm: _check_doc(gsep.decide(cm))),
+        (("check",), "multi-step", lambda cm: _check_doc(gsep.decide(cm))),
+        (("check", "--eps", "1e-6"), "separable",
+         lambda cm: _check_doc(gsep.decide_robust(cm, 1e-6))),
+        (("check", "--eps", "1e-6"), "entangled",
+         lambda cm: _check_doc(gsep.decide_robust(cm, 1e-6))),
+        (("certify",), "separable", _certify_doc),
+        (("certify",), "entangled", _certify_doc),
+        (("certify",), "ppt-entangled", _certify_doc),
+        (("certify", "--max-iter", "2"), "multi-step", lambda cm: _certify_doc(cm, 2)),
+        (("threshold",), "entangled",
+         lambda cm: _canonical({"threshold": gsep.find_threshold(cm)})),
+        (("threshold",), "ppt-entangled",
+         lambda cm: _canonical({"threshold": gsep.find_threshold(cm)})),
+        (("sweep", "--eps", "1.0", "--eps", "0.5"), "entangled",
+         lambda cm: _sweep_csv(cm, [1.0, 0.5])),
+        (("sweep", "--eps-grid", "0.5:2.0:16", "--stop-after-separable"), "entangled",
+         lambda cm: _sweep_csv(cm, np.linspace(0.5, 2.0, 16), stop_after_separable=True)),
+    ], ids=["check-separable", "check-undecided", "check-robust-separable",
+            "check-robust-entangled", "certify-separable", "certify-entangled",
+            "certify-ppt-entangled", "certify-undecided", "threshold-tmss",
+            "threshold-ppt-entangled", "sweep-eps", "sweep-grid"])
+    def test_decision_commands(self, tmp_path, capsys, argv, state, expected):
+        cm = self.STATES[state]()
+        code, out, err = run(capsys, *argv, "--input", write_cm(tmp_path, cm))
+        assert (code, err) == (0, "")
+        assert out == expected(cm)
+
+    @pytest.mark.parametrize("argv, cm", [
+        (("gen", "tmss", "--r", "0.8"), lambda: tmss(0.8)),
+        (("gen", "random", "--n", "2", "--purity", "pure", "--seed", "1"),
+         lambda: gsep.gaussian.random_cm(2, 1, purity="pure", seed=1)),
+        (("gen", "separable", "--m", "2", "--seed", "1"),
+         lambda: gsep.gaussian.random_separable_cm(1, 2, seed=1)[0]),
+    ], ids=["tmss", "random", "separable"])
+    def test_gen(self, capsys, argv, cm):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == dump_cm(cm())
 
 
 class TestColdStart:
