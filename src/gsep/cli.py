@@ -126,7 +126,7 @@ def _cmd_sweep(args) -> str:
         grid = np.array(args.eps, dtype=float)
     else:
         raise ValueError("sweep needs --eps values or --eps-grid")
-    pert = load_cm(args.perturbation).gamma if args.perturbation else np.eye(2 * (cm.n + cm.m))
+    pert = load_cm(args.perturbation).gamma if args.perturbation else None
     points = sweep(cm, pert, grid, tol, args.max_iter,
                    stop_after_separable=args.stop_after_separable)
     lines = ["eps,verdict,steps"]

@@ -48,14 +48,14 @@ symplectic check within ``psd_tol``, and the iteration then goes on
 unnormalized.
 
 An input that fails the CM test is not a state: :func:`decide`,
-:func:`map_step` and :func:`find_threshold` refuse it with
-:class:`~gsep.gaussian.InvalidCMError`, whose message quotes the
-failing margin.
+:func:`map_step`, :func:`decide_robust`, :func:`sweep`,
+:func:`find_threshold` and :func:`~gsep.ppt.ppt_check` refuse it with
+:class:`~gsep.gaussian.InvalidCMError`, quoting the failing margin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -398,70 +398,76 @@ def _shifted(cm: BipartiteCM, eps: float, perturbation: np.ndarray | None = None
     return BipartiteCM.from_gamma(cm.gamma + eps * pert, cm.n, cm.m)
 
 
-def _checked_perturbation(cm: BipartiteCM, perturbation, tol: ToleranceConfig) -> np.ndarray:
-    """``perturbation`` through the state's ingest rule, if it is PSD and of ``cm``'s size."""
-    if np.shape(perturbation) != (2 * (cm.n + cm.m),) * 2:
+def _ray(cm: BipartiteCM, perturbation, tol: ToleranceConfig, max_iter: int):
+    """``(P, decide_at)``, with ``decide_at(eps)`` the :func:`decide` verdict on ``gamma + eps P``.
+
+    ``P`` is ``perturbation`` once it has ``cm``'s size, passes the
+    state's ingest rule and is PSD, or the identity, unchecked, for
+    ``None``; a non-state is refused after that, as :func:`decide` does.
+    """
+    d = 2 * (cm.n + cm.m)
+    if perturbation is None:
+        pert = np.eye(d)
+    elif np.shape(perturbation) != (d, d):
         raise ValueError(f"perturbation has wrong shape {np.shape(perturbation)}")
-    pert = _ingest_symmetric(perturbation, "perturbation")
-    if not psd_check(pert, tol).is_psd:
+    elif not psd_check(pert := _ingest_symmetric(perturbation, "perturbation"), tol).is_psd:
         raise ValueError("perturbation must be PSD")
-    return pert
+    _require_cm(cm, tol)
+    return pert, lambda eps: decide(_shifted(cm, eps, pert), tol, max_iter)
 
 
 def decide_robust(cm: BipartiteCM, eps: float, tol: ToleranceConfig = DEFAULT_TOL,
                   max_iter: int = 200) -> Verdict:
     """Decide separability up to an ``eps``-sized identity perturbation, ``0 < eps < inf``.
 
-    Runs :func:`decide` on ``gamma + eps I`` and, if needed, on
-    ``gamma - eps I``.  Only two inferences are drawn: entangled for the
-    enlarged state implies entangled for the state, and separable for
-    the shrunk state implies separable.  Everything else comes back
-    UNDECIDED ("undecided within eps").  When ``gamma - eps I`` is not a
-    valid CM the negative side is skipped and the plain verdict on
-    ``gamma`` itself is returned instead.
+    Refuses a non-state as :func:`decide` does, then runs it on ``gamma
+    + eps I`` and, if needed, on ``gamma - eps I``.  Only two inferences
+    are drawn: entangled for the enlarged state implies entangled for
+    the state, and separable for the shrunk state implies separable.
+    Everything else comes back UNDECIDED ("undecided within eps").  When
+    ``gamma - eps I`` is not a valid CM the negative side is skipped and
+    the plain verdict on ``gamma`` itself is returned instead.
 
     The trace is the deciding run's, so a SEPARABLE verdict's certificate
     verifies against ``trace.gamma0 = gamma - eps I``, not ``gamma``.
     """
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    plus = decide(_shifted(cm, +eps), tol, max_iter)
+    _, decide_at = _ray(cm, None, tol, max_iter)
+    plus = decide_at(+eps)
     if plus.kind is VerdictKind.ENTANGLED:
-        return Verdict(plus.kind, plus.step, plus.margin,
-                       f"entangled even with +eps={eps:g} of identity noise",
-                       plus.trace)
+        return replace(plus, reason=f"entangled even with +eps={eps:g} of identity noise")
     try:
-        minus = decide(_shifted(cm, -eps), tol, max_iter)
+        minus = decide_at(-eps)
     except InvalidCMError:
         return decide(cm, tol, max_iter)
     if minus.kind is VerdictKind.SEPARABLE:
-        return Verdict(minus.kind, minus.step, minus.margin,
-                       f"separable even after removing eps={eps:g} of identity",
-                       minus.trace)
-    return Verdict(VerdictKind.UNDECIDED, minus.step, minus.margin,
-                   f"undecided within eps={eps:g}", minus.trace)
+        return replace(minus, reason=f"separable even after removing eps={eps:g} of identity")
+    return replace(minus, kind=VerdictKind.UNDECIDED, reason=f"undecided within eps={eps:g}")
 
 
-def sweep(cm: BipartiteCM, perturbation: np.ndarray, eps_grid,
+def sweep(cm: BipartiteCM, perturbation: np.ndarray | None, eps_grid,
           tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 200,
           stop_after_separable: bool = False) -> list[SweepPoint]:
     """Run :func:`decide` on ``gamma + eps P`` for every ``eps`` in a grid.
 
-    The grid is sorted ascending before the runs.  ``perturbation`` must
-    be PSD so that larger ``eps`` can only make the state more separable
-    along the ray.  With ``stop_after_separable`` the sweep stops at the
-    first separable verdict; by default every grid point is evaluated.
+    The grid is sorted ascending before the runs.  ``perturbation``, the
+    identity for ``None``, must be PSD so that larger ``eps`` can only
+    make the state more separable along the ray; a non-state is refused
+    as :func:`decide` refuses it.  With ``stop_after_separable`` the
+    sweep stops at the first separable verdict; by default every grid
+    point is evaluated.
     """
     grid = np.asarray(eps_grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("eps grid is empty")
     if not np.all(np.isfinite(grid)) or np.any(grid < 0):
         raise ValueError("eps grid must be finite and non-negative")
-    pert = _checked_perturbation(cm, perturbation, tol)
+    _, decide_at = _ray(cm, perturbation, tol, max_iter)
 
     points = []
     for eps in np.sort(grid):
-        verdict = decide(_shifted(cm, float(eps), pert), tol, max_iter)
+        verdict = decide_at(float(eps))
         points.append(SweepPoint(float(eps), verdict.kind, verdict.step))
         if stop_after_separable and verdict.kind is VerdictKind.SEPARABLE:
             break
@@ -624,14 +630,7 @@ def find_threshold(cm: BipartiteCM, perturbation: np.ndarray | None = None,
     for name, value in (("eps_max", eps_max), ("width", width)):
         if not 0.0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    if perturbation is None:
-        perturbation = np.eye(2 * (cm.n + cm.m))
-    pert = _checked_perturbation(cm, perturbation, tol)
-    _require_cm(cm, tol)
-
-    def decide_at(eps: float) -> Verdict:
-        return decide(_shifted(cm, eps, pert), tol, max_iter)
-
+    pert, decide_at = _ray(cm, perturbation, tol, max_iter)
     flipped = _flipped(cm)
     lo = hi = 0.0
     if not _psd_by_cholesky(flipped, tol.decision_margin):

@@ -44,11 +44,13 @@ def _canonical(obj) -> str:
 def _matrix_from_json(obj, name: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj or not all(isinstance(row, list) for row in obj):
         raise SchemaError(f"{name!r} must be a non-empty list of rows")
-    widths = {len(row) for row in obj}
-    if len(widths) != 1:
+    if len({len(row) for row in obj}) != 1:
         raise SchemaError(f"{name!r} has ragged rows")
-    try:
-        arr = np.array(obj, dtype=float)
+    try:  # strings, null and ints past int64 leave numpy's inferred dtype non-numeric
+        arr = np.array(obj)
+        if arr.dtype.kind not in "fiu" and {type(x) for row in obj for x in row} - {int, float}:
+            raise TypeError
+        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{name!r} contains non-numeric entries") from exc
     except OverflowError as exc:  # an integer past the float range, as 1e400 is
@@ -90,9 +92,7 @@ def parse_cm(text: str) -> BipartiteCM:
     gamma = _matrix_from_json(doc["gamma"], "gamma")
     d = 2 * (n + m)
     if gamma.shape != (d, d):
-        raise SchemaError(
-            f"'gamma' must be {d}x{d} for n={n}, m={m}, got {gamma.shape}"
-        )
+        raise SchemaError(f"'gamma' must be {d}x{d} for n={n}, m={m}, got {gamma.shape}")
     try:
         return BipartiteCM.from_gamma(gamma, n, m)
     except CMError as exc:

@@ -35,7 +35,7 @@ from gsep.gaussian import (
     tmss,
 )
 from gsep.io import load_cm
-from gsep.matlin import DEFAULT_TOL, _psd_by_cholesky, psd_check, trace_norm
+from gsep.matlin import DEFAULT_TOL, ToleranceConfig, _psd_by_cholesky, psd_check, trace_norm
 from gsep.ppt import _flipped, ppt_check
 
 J1 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -267,17 +267,23 @@ class TestDecide:
             decide(bad)
 
     def test_one_refusal_for_decide_map_step_and_ppt_check(self):
-        # a scaled-down tmss(1): structurally fine, but not a state
+        # every classifying entry point; a scaled-down tmss(1) is
+        # structurally fine, but not a state, and gamma + eps I of the
+        # near-state is a state again for small eps
         good = tmss(1.0)
-        bad = BipartiteCM.from_blocks(0.1 * good.A, 0.1 * good.B, 0.1 * good.C)
-        messages = []
-        for call in (decide, map_step, ppt_check, find_threshold):
-            with pytest.raises(InvalidCMError) as info:
-                call(bad)
-            messages.append(str(info.value))
-        margin = gaussian.validate_cm(bad).lambda_min
-        assert messages == [f"input fails the CM test (margin {margin:.3e}); "
-                            "not a state, refusing to classify"] * 4
+        scaled = BipartiteCM.from_blocks(0.1 * good.A, 0.1 * good.B, 0.1 * good.C)
+        near = BipartiteCM.from_gamma(good.gamma - 1e-3 * np.eye(4), 1, 1)
+        calls = (decide, map_step, ppt_check, find_threshold,
+                 lambda cm: sweep(cm, None, [0.5, 1.0]), lambda cm: decide_robust(cm, 0.01))
+        for bad in (scaled, near):
+            messages = []
+            for call in calls:
+                with pytest.raises(InvalidCMError) as info:
+                    call(bad)
+                messages.append(str(info.value))
+            margin = gaussian.validate_cm(bad).lambda_min
+            assert messages == [f"input fails the CM test (margin {margin:.3e}); "
+                                "not a state, refusing to classify"] * 6
 
     def test_rejects_bad_max_iter(self):
         with pytest.raises(ValueError, match="max_iter"):
@@ -432,6 +438,25 @@ class TestWilliamsonFrame:
         indefinite = BipartiteCM.from_blocks(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]),
                                              np.zeros((2, 2)))
         assert engine._williamson_frame(indefinite, DEFAULT_TOL) is None
+
+    def test_frame_that_fails_the_symplectic_check_is_skipped(self):
+        # just past its threshold the state decides in two steps through
+        # the frame.  At psd_tol 1e-15 the first iterate still has a
+        # Cholesky factor, but rounding leaves S J S^T - J above the
+        # tolerance, so the run goes on unnormalized, and longer
+        cm = gaussian.random_cm(2, 2, seed=7)
+        state = engine._shifted(cm, find_threshold(cm) + 1e-4)
+        framed = decide(state)
+        assert (framed.kind, framed.step) == (VerdictKind.SEPARABLE, 2)
+        assert framed.trace.steps[1].frame is not None
+        tight = ToleranceConfig(psd_tol=1e-15)
+        iterate = map_step(state)
+        np.linalg.cholesky(iterate.A)
+        assert engine._williamson_frame(iterate, tight) is None
+        unframed = decide(state, tight)
+        assert (unframed.kind, unframed.step) == (VerdictKind.SEPARABLE, 6)
+        assert all(step.frame is None for step in unframed.trace.steps)
+        assert verify_certificate(state, reconstruct(unframed.trace, tight)).valid
 
     def test_ill_conditioned_input_takes_no_frame(self, monkeypatch):
         # a separable 2+2 state with both modes of one party squeezed by
@@ -617,7 +642,8 @@ class TestDecideRobust:
                 decide_robust(vacuum(), eps=eps)
 
     def test_shrunk_state_is_validated_once(self, monkeypatch):
-        # the decide on gamma - eps I validates it; no separate pre-check
+        # gamma is refused up front if it is no state; the decide on
+        # gamma - eps I then validates that one, with no separate pre-check
         shapes = []
 
         def counting(mat, tol=DEFAULT_TOL):
@@ -628,7 +654,7 @@ class TestDecideRobust:
             monkeypatch.setattr(module, "psd_check", counting)
         verdict = decide_robust(random_separable_cm(1, 1, seed=0)[0], 1e-6)
         assert verdict.kind is VerdictKind.SEPARABLE
-        assert shapes == [(4, 4), (4, 4)]  # validate gamma + eps I, gamma - eps I
+        assert shapes == [(4, 4)] * 3  # validate gamma, gamma + eps I, gamma - eps I
 
 
 class TestSweep:
@@ -641,6 +667,10 @@ class TestSweep:
         assert kinds[0] is VerdictKind.ENTANGLED
         assert kinds[-1] is VerdictKind.SEPARABLE
         assert [p.eps for p in points] == sorted(p.eps for p in points)
+
+    def test_none_is_the_identity(self):
+        grid = np.linspace(0.5, 1.2, 8)
+        assert sweep(tmss(1.0), None, grid) == sweep(tmss(1.0), np.eye(4), grid)
 
     def test_grid_is_sorted_before_running(self):
         points = sweep(tmss(1.0), np.eye(4), [1.2, 0.5])
@@ -671,8 +701,13 @@ class TestSweep:
             sweep(tmss(1.0), np.eye(4), [-1.0])
 
     def test_rejects_non_psd_perturbation(self):
-        with pytest.raises(ValueError, match="PSD"):
-            sweep(tmss(1.0), -np.eye(4), [0.1])
+        # also before a non-state is refused
+        near = BipartiteCM.from_gamma(tmss(1.0).gamma - 1e-3 * np.eye(4), 1, 1)
+        for cm in (tmss(1.0), near):
+            with pytest.raises(ValueError, match="PSD"):
+                sweep(cm, -np.eye(4), [0.1])
+            with pytest.raises(ValueError, match="PSD"):
+                find_threshold(cm, -np.eye(4))
 
     def test_rejects_asymmetric_perturbation(self):
         # refused by the state's ingest rule before any probe

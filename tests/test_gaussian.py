@@ -270,6 +270,10 @@ class TestRandomGenerators:
             residual = np.abs(s @ j @ s.T - j).max()
             assert residual <= 1e-9 * max(1.0, np.abs(s).max() ** 2)
 
+    def test_random_symplectic_rejects_zero_modes(self):
+        with pytest.raises(ValueError, match="n_modes must be >= 1, got 0"):
+            random_symplectic(0, np.random.default_rng(0))
+
     @pytest.mark.parametrize("n", [1, 8, 32])
     def test_squeezing_is_bounded_at_any_mode_count(self, n):
         # a pure state's spectrum is exp(+-2 r_i), so cond <= exp(4 r_max)

@@ -78,6 +78,18 @@ class TestPsdCheck:
         with pytest.raises(MatrixInputError, match="square"):
             psd_check(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("mat, message", [
+        (np.ones(3), r"matrix must be 2-dimensional, got shape \(3,\)"),
+        (np.empty((0, 0)), "matrix must be non-empty"),
+    ], ids=["one-dimensional", "empty"])
+    def test_rejects_malformed_input(self, mat, message):
+        with pytest.raises(MatrixInputError, match=message):
+            psd_check(mat)
+
+    def test_repr_shows_the_verdict_and_the_margin(self):
+        assert repr(psd_check(np.diag([2.0, 0.5]))) == "PsdReport(is_psd=True, lambda_min=0.5)"
+        assert repr(psd_check(np.diag([1.0, -0.5]))) == "PsdReport(is_psd=False, lambda_min=-0.5)"
+
 
 class TestNorms:
     def test_operator_norm_examples(self):
@@ -404,6 +416,11 @@ class TestHermitianReducePsd:
     def test_shape_mismatch(self):
         with pytest.raises(MatrixInputError, match="mismatch"):
             hermitian_reduce_psd(np.eye(2), np.zeros((3, 3)))
+
+    def test_rejects_complex_blocks(self):
+        for sym, antisym in ((np.eye(2) + 0j, np.zeros((2, 2))), (np.eye(2), 1j * J1)):
+            with pytest.raises(MatrixInputError, match="expects real blocks"):
+                hermitian_reduce_psd(sym, antisym)
 
 
 def test_hermitian_part():
