@@ -188,9 +188,9 @@ def verify_certificate(cm: BipartiteCM, certificate: SeparabilityCertificate,
                        tol: ToleranceConfig = DEFAULT_TOL) -> CertificateReport:
     """Independently verify a certificate against the original state.
 
-    The blocks and ``P`` must have the state's shapes, pass its ingest
-    rule (finite and symmetric up to roundoff, else ``CMError``), and
-    ``P`` must reproduce the state, ``max|gamma - gamma_A oplus gamma_B
+    The blocks and ``P`` must pass the state's ingest rule (real, finite,
+    of the state's shapes and symmetric up to roundoff, else ``CMError``),
+    and ``P`` must reproduce the state, ``max|gamma - gamma_A oplus gamma_B
     - P| <= psd_tol * max(1, max|gamma|)``; otherwise ``ValueError``,
     quoting the residual.
     Then three PSD tests, each a shifted Cholesky factorization with an
@@ -200,17 +200,14 @@ def verify_certificate(cm: BipartiteCM, certificate: SeparabilityCertificate,
     margins are solved when ``margins`` is first read.
     """
     d_a, d_b = 2 * cm.n, 2 * cm.m
-    shapes = [np.shape(x) for x in (certificate.gamma_A, certificate.gamma_B, certificate.P)]
-    if shapes != [(d_a, d_a), (d_b, d_b), (d_a + d_b, d_a + d_b)]:
-        raise ValueError(f"certificate blocks {shapes[0]}/{shapes[1]}/{shapes[2]} do not "
-                         f"match a {cm.n}+{cm.m} mode state")
-    gamma_a = _ingest_symmetric(certificate.gamma_A, "gamma_A")
-    gamma_b = _ingest_symmetric(certificate.gamma_B, "gamma_B")
+    gamma_a = _ingest_symmetric(certificate.gamma_A, "gamma_A", d_a)
+    gamma_b = _ingest_symmetric(certificate.gamma_B, "gamma_B", d_b)
+    noise = _ingest_symmetric(certificate.P, "P", d_a + d_b)
     remainder = cm.gamma  # a fresh array: gamma - gamma_A oplus gamma_B is formed in place
     scale = max(1.0, float(np.abs(remainder).max()))
     remainder[:d_a, :d_a] -= gamma_a
     remainder[d_a:, d_a:] -= gamma_b
-    residual = float(np.abs(remainder - _ingest_symmetric(certificate.P, "P")).max())
+    residual = float(np.abs(remainder - noise).max())
     if not residual <= tol.psd_tol * scale:
         raise ValueError("certificate does not reproduce the state: "
                          f"max|gamma - gamma_A oplus gamma_B - P| = {residual:.3e}")

@@ -62,8 +62,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import (BipartiteCM, InvalidCMError, _ingest_symmetric, _minus_ij, _require_cm,
-                       symplectic_form)
+from .gaussian import (BipartiteCM, InvalidCMError, _ingest_real, _ingest_symmetric, _minus_ij,
+                       _require_cm, symplectic_form)
 from .matlin import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -247,6 +247,7 @@ def _next_iterate(a: np.ndarray, x_re: np.ndarray, x_im: np.ndarray) -> Bipartit
     if not (np.all(np.isfinite(x_re)) and np.all(np.isfinite(x_im))):
         raise NumericalError("map produced a non-finite Schur complement")
     a_next = a - x_re
+    # kept: the explicit pseudoinverse leaves A' up to 1e-6 asymmetric, which from_blocks refuses
     a_next = (a_next + a_next.T) / 2.0
     c_next = -x_im
     c_next = (c_next - c_next.T) / 2.0
@@ -401,16 +402,14 @@ def _shifted(cm: BipartiteCM, eps: float, perturbation: np.ndarray | None = None
 def _ray(cm: BipartiteCM, perturbation, tol: ToleranceConfig, max_iter: int):
     """``(P, decide_at)``, with ``decide_at(eps)`` the :func:`decide` verdict on ``gamma + eps P``.
 
-    ``P`` is ``perturbation`` once it has ``cm``'s size, passes the
-    state's ingest rule and is PSD, or the identity, unchecked, for
+    ``P`` is ``perturbation`` once it passes the state's ingest rule at
+    ``cm``'s size and is PSD, or the identity, unchecked, for
     ``None``; a non-state is refused after that, as :func:`decide` does.
     """
     d = 2 * (cm.n + cm.m)
     if perturbation is None:
         pert = np.eye(d)
-    elif np.shape(perturbation) != (d, d):
-        raise ValueError(f"perturbation has wrong shape {np.shape(perturbation)}")
-    elif not psd_check(pert := _ingest_symmetric(perturbation, "perturbation"), tol).is_psd:
+    elif not psd_check(pert := _ingest_symmetric(perturbation, "perturbation", d), tol).is_psd:
         raise ValueError("perturbation must be PSD")
     _require_cm(cm, tol)
     return pert, lambda eps: decide(_shifted(cm, eps, pert), tol, max_iter)
@@ -458,10 +457,10 @@ def sweep(cm: BipartiteCM, perturbation: np.ndarray | None, eps_grid,
     sweep stops at the first separable verdict; by default every grid
     point is evaluated.
     """
-    grid = np.asarray(eps_grid, dtype=float).ravel()
+    grid = _ingest_real(eps_grid, "eps grid")[0].ravel()  # real and finite
     if grid.size == 0:
         raise ValueError("eps grid is empty")
-    if not np.all(np.isfinite(grid)) or np.any(grid < 0):
+    if np.any(grid < 0):
         raise ValueError("eps grid must be finite and non-negative")
     _, decide_at = _ray(cm, perturbation, tol, max_iter)
 

@@ -84,15 +84,27 @@ def _direct_sum(a: np.ndarray, b: np.ndarray, c=0.0) -> np.ndarray:
     return out
 
 
-def _ingest_symmetric(mat, name: str) -> np.ndarray:
-    arr = np.asarray(mat, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise CMError(f"{name} must be square, got shape {arr.shape}")
-    if arr.shape[0] % 2 != 0 or arr.shape[0] == 0:
-        raise CMError(f"{name} must have even positive dimension, got {arr.shape[0]}")
-    scale = float(np.abs(arr).max())  # NaN or inf exactly when an entry is
+def _ingest_real(mat, name: str) -> tuple[np.ndarray, float]:
+    """``(mat as floats, max|mat|)``; complex entries are refused before a cast could drop them."""
+    arr = np.asarray(mat)
+    if np.iscomplexobj(arr):
+        raise CMError(f"{name} must be real, got complex entries")
+    arr = arr.astype(float, copy=False)
+    scale = float(np.abs(arr).max(initial=0.0))  # NaN or inf exactly when an entry is
     if not np.isfinite(scale):
         raise CMError(f"{name} contains non-finite entries")
+    return arr, scale
+
+
+def _ingest_symmetric(mat, name: str, dim: int | None = None) -> np.ndarray:
+    """The one intake of a caller's matrix: real, finite, symmetric, ``dim x dim`` if given."""
+    arr, scale = _ingest_real(mat, name)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise CMError(f"{name} must be square, got shape {arr.shape}")
+    if dim is not None and arr.shape[0] != dim:
+        raise CMError(f"{name} must be {dim}x{dim}, got shape {arr.shape}")
+    if arr.shape[0] % 2 != 0 or arr.shape[0] == 0:
+        raise CMError(f"{name} must have even positive dimension, got {arr.shape[0]}")
     half = arr / 2.0  # halves first, so that no sum of two finite entries overflows
     residual = 2.0 * float(np.abs(half - half.T).max())
     if residual > _SYMMETRY_RTOL * max(1.0, scale):
@@ -122,29 +134,23 @@ class BipartiteCM:
         """Ingest the blocks; a block passed as both ``A`` and ``B`` is ingested once."""
         a = _ingest_symmetric(block_a, "A")
         b = a if block_b is block_a else _ingest_symmetric(block_b, "B")
-        c = np.asarray(block_c, dtype=float)
-        if not np.all(np.isfinite(c)):
-            raise CMError("C contains non-finite entries")
+        c = _ingest_real(block_c, "C")[0].copy()
         if c.shape != (a.shape[0], b.shape[0]):
-            raise CMError(
-                f"C shape {c.shape} incompatible with A {a.shape} and B {b.shape}"
-            )
-        c = c.copy()
+            raise CMError(f"C shape {c.shape} incompatible with A {a.shape} and B {b.shape}")
         c.flags.writeable = False
         return cls(n=a.shape[0] // 2, m=b.shape[0] // 2, A=a, B=b, C=c)
 
     @classmethod
     def from_gamma(cls, gamma, n: int, m: int | None = None) -> "BipartiteCM":
+        """Ingest ``gamma`` once; the blocks are read-only views of the ingested matrix."""
         sym = _ingest_symmetric(gamma, "gamma")
         total = sym.shape[0] // 2
         if m is None:
             m = total - n
         if n < 1 or m < 1 or n + m != total:
-            raise CMError(
-                f"mode split {n}+{m} incompatible with a {sym.shape[0]}-row gamma"
-            )
+            raise CMError(f"mode split {n}+{m} incompatible with a {sym.shape[0]}-row gamma")
         k = 2 * n
-        return cls.from_blocks(sym[:k, :k], sym[k:, k:], sym[:k, k:])
+        return cls(n=int(n), m=int(m), A=sym[:k, :k], B=sym[k:, k:], C=sym[:k, k:])
 
     @property
     def gamma(self) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -46,13 +47,11 @@ def _matrix_from_json(obj, name: str) -> np.ndarray:
         raise SchemaError(f"{name!r} must be a non-empty list of rows")
     if len({len(row) for row in obj}) != 1:
         raise SchemaError(f"{name!r} has ragged rows")
-    try:  # strings, null and ints past int64 leave numpy's inferred dtype non-numeric
-        arr = np.array(obj)
-        if arr.dtype.kind not in "fiu" and {type(x) for row in obj for x in row} - {int, float}:
-            raise TypeError
-        arr = arr.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{name!r} contains non-numeric entries") from exc
+    # booleans, strings, null, objects and lists; numpy would cast the first two
+    if not set(map(type, chain.from_iterable(obj))) <= {int, float}:
+        raise SchemaError(f"{name!r} contains non-numeric entries")
+    try:
+        arr = np.array(obj, dtype=float)
     except OverflowError as exc:  # an integer past the float range, as 1e400 is
         raise SchemaError(f"{name!r} contains non-finite entries") from exc
     if not np.all(np.isfinite(arr)):

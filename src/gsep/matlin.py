@@ -1,12 +1,13 @@
 """Tolerance-aware matrix primitives shared by the whole library.
 
-Everything operates on plain numpy arrays.  Hermitian inputs are
-symmetrized on ingest, so callers may hand in matrices carrying
-roundoff-level asymmetry without tripping spurious failures.  Positivity
-is always judged relative to the matrix scale: the PSD test passes when
-the smallest eigenvalue stays above ``-psd_tol * max(1, largest
-|eigenvalue|)``.  :func:`psd_check` settles that test with a shifted
-Cholesky factorization first and diagonalizes only when the
+Everything operates on plain numpy arrays.  :func:`psd_check`, :func:`schur_psd`
+and :func:`pseudoinverse` judge the Hermitian part ``(M + M^dagger) / 2`` of any
+square input, however asymmetric; only :func:`hermitian_reduce_psd` refuses
+asymmetric blocks, and callers that must refuse asymmetry ingest first, as
+:mod:`gsep.gaussian` does.  Positivity is always judged relative to the matrix
+scale: the PSD test passes when the smallest eigenvalue stays above ``-psd_tol
+* max(1, largest |eigenvalue|)``.  :func:`psd_check` settles that test with a
+shifted Cholesky factorization first and diagonalizes only when the
 factorization fails; a report whose gate passed solves ``lambda_min`` on
 first read.  One kernel rule serves the decision map, certificate
 reconstruction and :func:`schur_psd`: eigenvalues at or below ``pinv_rcond
@@ -137,9 +138,9 @@ def hermitian_part(mat) -> np.ndarray:
 
 
 def psd_check(mat, tol: ToleranceConfig = DEFAULT_TOL) -> PsdReport:
-    """Test a Hermitian matrix for positive semidefiniteness.
+    """Test the Hermitian part ``(M + M^dagger) / 2`` of a square matrix for PSD-ness.
 
-    The input is symmetrized first, so tiny asymmetry is harmless.  The
+    Asymmetry of any size is averaged away, not refused.  The
     verdict is relative to the spectral scale: the test passes when
     ``lambda_min >= -psd_tol * max(1, |lambda|_max)``.  A Cholesky gate
     shifted by ``psd_tol * max(1, max |diag|)`` runs first; since
@@ -270,11 +271,11 @@ def schur_psd(block_a, block_b, block_c, tol: ToleranceConfig = DEFAULT_TOL) -> 
     ``ker(B) subset ker(C)`` holds (equivalently ``C (I - B B^+) = 0``),
     and the complement ``A - C B^+ C^T`` is PSD.  Negative eigenvalues of
     B at or below the pseudoinverse cutoff are checked as kernel, not
-    inverted.
+    inverted.  ``A`` and ``B`` are judged by their symmetric parts, however asymmetric.
 
     Args:
-        block_a: Real symmetric, shape (p, p).
-        block_b: Real symmetric, shape (q, q).
+        block_a: Real, shape (p, p).
+        block_b: Real, shape (q, q).
         block_c: Real coupling block, shape (p, q).
         tol: Tolerances for the kernel residual and the PSD tests.
 
@@ -282,16 +283,14 @@ def schur_psd(block_a, block_b, block_c, tol: ToleranceConfig = DEFAULT_TOL) -> 
         SchurReport with the overall verdict and whether the kernel
         condition held.
     """
-    a = hermitian_part(_as_square(block_a, "block_a"))
-    b = hermitian_part(_as_square(block_b, "block_b"))
+    a, b = _as_square(block_a, "block_a"), _as_square(block_b, "block_b")
     c = _as_matrix(block_c, "block_c")
     if np.iscomplexobj(a) or np.iscomplexobj(b) or np.iscomplexobj(c):
         raise MatrixInputError("schur_psd expects real blocks")
     if c.shape != (a.shape[0], b.shape[0]):
         raise MatrixInputError(
-            f"block_c shape {c.shape} incompatible with blocks "
-            f"{a.shape} and {b.shape}"
-        )
+            f"block_c shape {c.shape} incompatible with blocks {a.shape} and {b.shape}")
+    a, b = (a + a.T) / 2.0, (b + b.T) / 2.0
 
     complement, b_psd, _, kernel_ok, _ = _schur_complement(a, c, b, tol)
     complement_psd = psd_check(complement, tol).is_psd

@@ -274,10 +274,14 @@ class TestVerifyCertificate:
 
     def test_shape_mismatch_raises(self):
         # a wrong-shape block, and valid blocks with a P of the wrong shape
-        for cert in (SeparabilityCertificate(np.eye(4), np.eye(2), np.zeros((6, 6))),
-                     SeparabilityCertificate(np.eye(2), np.eye(2), np.zeros((1, 1))),
-                     SeparabilityCertificate(np.eye(2), np.eye(2), np.zeros((2, 2)))):
-            with pytest.raises(ValueError, match="do not match"):
+        for cert, message in (
+                (SeparabilityCertificate(np.eye(4), np.eye(2), np.zeros((6, 6))),
+                 r"gamma_A must be 2x2, got shape \(4, 4\)"),
+                (SeparabilityCertificate(np.eye(2), np.eye(2), np.zeros((1, 1))),
+                 r"P must be 4x4, got shape \(1, 1\)"),
+                (SeparabilityCertificate(np.eye(2), np.eye(2), np.zeros((2, 2))),
+                 r"P must be 4x4, got shape \(2, 2\)")):
+            with pytest.raises(CMError, match=message):
                 verify_certificate(vacuum(), cert)
 
     def planted(self):
@@ -314,6 +318,15 @@ class TestVerifyCertificate:
         bad_p[0, 0] = np.nan
         with pytest.raises(CMError, match="P contains non-finite entries"):
             verify_certificate(cm, SeparabilityCertificate(cert.gamma_A, cert.gamma_B, bad_p))
+
+    @pytest.mark.parametrize("field", ["gamma_A", "gamma_B", "P"])
+    def test_complex_blocks_are_refused(self, field):
+        # the real parts still make a certificate that verifies
+        cm, cert = self.planted()
+        blocks = {"gamma_A": cert.gamma_A, "gamma_B": cert.gamma_B, "P": cert.P}
+        blocks[field] = blocks[field] + 5j
+        with pytest.raises(CMError, match=f"^{field} must be real, got complex entries$"):
+            verify_certificate(cm, SeparabilityCertificate(**blocks))
 
     def test_p_within_tolerance_cannot_raise_the_margin(self):
         # a P shifted within the tolerance is accepted, but the PSD test

@@ -699,6 +699,8 @@ class TestSweep:
             sweep(tmss(1.0), np.eye(4), [])
         with pytest.raises(ValueError, match="non-negative"):
             sweep(tmss(1.0), np.eye(4), [-1.0])
+        with pytest.raises(gaussian.CMError, match="^eps grid must be real, got complex entries$"):
+            sweep(tmss(1.0), np.eye(4), [0.5 + 1e-3j])
 
     def test_rejects_non_psd_perturbation(self):
         # also before a non-state is refused
@@ -716,6 +718,14 @@ class TestSweep:
                        lambda: find_threshold(tmss(1.0), pert)):
             with pytest.raises(gaussian.CMError,
                                match=r"perturbation is not symmetric \(residual 5.000e-01\)"):
+                search()
+
+    def test_rejects_complex_perturbation(self):
+        # its real part, the identity, would be a valid perturbation
+        for search in (lambda: sweep(tmss(1.0), np.eye(4) + 1e-3j, [0.1]),
+                       lambda: find_threshold(tmss(1.0), np.eye(4) + 1e-3j)):
+            with pytest.raises(gaussian.CMError,
+                               match="^perturbation must be real, got complex entries$"):
                 search()
 
     def test_rejects_wrong_perturbation_shape(self):

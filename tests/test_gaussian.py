@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
 import _expm_fixtures
@@ -183,6 +184,42 @@ class TestBipartiteCM:
     def test_gamma_property_matches_assemble(self):
         cm = tmss(0.7)
         np.testing.assert_array_equal(cm.gamma, np.block([[cm.A, cm.C], [cm.C.T, cm.B]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["pure", "mixed", "separable"]))
+    def test_from_gamma_reproduces_the_blocks_read_only(self, n, m, seed, kind):
+        if kind == "separable":
+            cm = random_separable_cm(n, m, seed=seed)[0]
+        else:
+            cm = random_cm(n, m, kind, seed=seed)
+        again = BipartiteCM.from_gamma(cm.gamma, n, m)
+        assert (again.n, again.m) == (n, m)
+        # ingested once: every block is a view of the one symmetrized gamma
+        base = again.A.base
+        assert base is not None and base.shape == cm.gamma.shape
+        for block in ("A", "B", "C"):
+            got, want = getattr(again, block), getattr(cm, block)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), block
+            assert not got.flags.writeable and got.base is base, block
+
+    # gamma - iJ of a pure state: Hermitian and PSD, and its real part is a valid CM
+    TMSS_MINUS_IJ = tmss(1.0).gamma - 1j * symplectic_form(2)
+    ONE_MODE_MINUS_IJ = np.eye(2) - 1j * symplectic_form(1)
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: BipartiteCM.from_gamma(TestBipartiteCM.TMSS_MINUS_IJ, 1, 1), "gamma"),
+        (lambda: validate_cm(TestBipartiteCM.TMSS_MINUS_IJ), "gamma"),
+        (lambda: BipartiteCM.from_blocks(
+            TestBipartiteCM.ONE_MODE_MINUS_IJ, np.eye(2), np.zeros((2, 2))), "A"),
+        (lambda: BipartiteCM.from_blocks(
+            np.eye(2), TestBipartiteCM.ONE_MODE_MINUS_IJ, np.zeros((2, 2))), "B"),
+        (lambda: BipartiteCM.from_blocks(np.eye(2), np.eye(2), 0.1j * np.eye(2)), "C"),
+    ], ids=["from_gamma", "validate_cm", "from_blocks-A", "from_blocks-B", "from_blocks-C"])
+    def test_complex_entries_are_refused(self, build, name):
+        # a cast to float would drop the imaginary parts with only a ComplexWarning
+        with pytest.raises(CMError, match=f"^{name} must be real, got complex entries$"):
+            build()
 
 
 class TestTmss:

@@ -86,8 +86,9 @@ class TestCmSchemaErrors:
             parse_cm(json.dumps(doc))
 
     def test_non_numeric_entries(self):
-        # numpy would convert "1.5" and take null for NaN; neither is a number
-        for entry in ("one", "1.5", None, {"value": 1.5}, [1.5]):
+        # numpy would convert "1.5", true and false and take null for NaN;
+        # none of them is a number
+        for entry in ("one", "1.5", None, {"value": 1.5}, [1.5], True, False):
             doc = self.good()
             doc["gamma"][0][0] = entry
             with pytest.raises(SchemaError, match="non-numeric"):
