@@ -26,6 +26,9 @@ from gsep.gaussian import (
 
 COSH2 = 3.7621956910836314  # cosh(2)
 SINH2 = 3.626860407847019   # sinh(2)
+# gamma - iJ of pure states: Hermitian and PSD, and their real parts are valid CMs
+TMSS_MINUS_IJ = tmss(1.0).gamma - 1j * symplectic_form(2)
+ONE_MODE_MINUS_IJ = np.eye(2) - 1j * symplectic_form(1)
 
 
 class TestSymplecticForm:
@@ -203,17 +206,11 @@ class TestBipartiteCM:
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), block
             assert not got.flags.writeable and got.base is base, block
 
-    # gamma - iJ of a pure state: Hermitian and PSD, and its real part is a valid CM
-    TMSS_MINUS_IJ = tmss(1.0).gamma - 1j * symplectic_form(2)
-    ONE_MODE_MINUS_IJ = np.eye(2) - 1j * symplectic_form(1)
-
     @pytest.mark.parametrize("build, name", [
-        (lambda: BipartiteCM.from_gamma(TestBipartiteCM.TMSS_MINUS_IJ, 1, 1), "gamma"),
-        (lambda: validate_cm(TestBipartiteCM.TMSS_MINUS_IJ), "gamma"),
-        (lambda: BipartiteCM.from_blocks(
-            TestBipartiteCM.ONE_MODE_MINUS_IJ, np.eye(2), np.zeros((2, 2))), "A"),
-        (lambda: BipartiteCM.from_blocks(
-            np.eye(2), TestBipartiteCM.ONE_MODE_MINUS_IJ, np.zeros((2, 2))), "B"),
+        (lambda: BipartiteCM.from_gamma(TMSS_MINUS_IJ, 1, 1), "gamma"),
+        (lambda: validate_cm(TMSS_MINUS_IJ), "gamma"),
+        (lambda: BipartiteCM.from_blocks(ONE_MODE_MINUS_IJ, np.eye(2), np.zeros((2, 2))), "A"),
+        (lambda: BipartiteCM.from_blocks(np.eye(2), ONE_MODE_MINUS_IJ, np.zeros((2, 2))), "B"),
         (lambda: BipartiteCM.from_blocks(np.eye(2), np.eye(2), 0.1j * np.eye(2)), "C"),
     ], ids=["from_gamma", "validate_cm", "from_blocks-A", "from_blocks-B", "from_blocks-C"])
     def test_complex_entries_are_refused(self, build, name):
